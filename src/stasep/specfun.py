@@ -2,17 +2,23 @@
 
 airy_ai is a self-contained float64 evaluator on [-40, 200]:
 
-    x in (-4.3, 4.1)   Maclaurin series (entire-function Taylor at 0)
-    x in [4.1, 7.6)    Chebyshev fit of the exponentially scaled function
-    x >= 7.6           decaying asymptotic expansion, adaptively truncated
+    x in (-4.3, 3.95)  Maclaurin series (entire-function Taylor at 0)
+    x in [3.95, 7.6)   Chebyshev fit of the exponentially scaled function
+    x in [7.6, 107.47) Chebyshev series in 1/zeta, zeta = (2/3) x^(3/2), of the
+                       scaled function Ai(x) 2 sqrt(pi) x^(1/4) e^zeta
+    x >= 107.47        exactly 0 (Ai(x) < 2^-1075 there, so float64 underflows)
     x in (-7.6, -4.3]  Chebyshev fit of Ai itself
     x <= -7.6          oscillatory asymptotic expansion
 
 The plain series/asymptotic pair cannot reach 1e-10 in double precision near
 |x| ~ 5-7 (Taylor cancellation on one side, divergent-tail floor on the
-other), hence the two mid-range Chebyshev tables; coefficients were fitted
-offline against a 40-digit reference, fit residual < 2e-15.  Tests pin the
-branch joints and the accuracy over the whole supported range.
+other), hence the two mid-range Chebyshev tables.  For x >= 7.6 the scaled
+function is smooth in 1/zeta on [0, 1/zeta(7.6)] (it tends to 1 as zeta ->
+inf), so a 12-term Chebyshev series replaces the decaying asymptotic sum.
+All coefficients were fitted offline against a 40-digit reference (mpmath
+airyai at Chebyshev points); fit residual < 2e-15, < 2e-16 for the 1/zeta
+series, whose float64 error is set by the rounding of exp(-zeta).  Tests pin
+the branch joints and the accuracy over the whole supported range.
 """
 
 from dataclasses import dataclass
@@ -34,6 +40,8 @@ _XA, _XB, _XC, _XD = -7.6, -4.3, 3.95, 7.6
 
 _CHEB_NEG_LO, _CHEB_NEG_HI = -7.8, -4.2
 _CHEB_POS_LO, _CHEB_POS_HI = 3.9, 7.8
+_INV_ZETA_HI = 0.0725  # the 1/zeta series lives on [0, 0.0725]; 1/zeta(7.6) = 0.0716
+_X_UNDERFLOW = 107.47  # Ai(107.4655...) = 2^-1075
 
 _CHEB_NEG = np.array([
     0.12519204386446764, 0.015997939655579725, 0.1710928749358428,
@@ -62,6 +70,13 @@ _CHEB_POS_SCALED = np.array([
     8.22763745198798e-18, -4.772528676253503e-18,
 ])
 
+_CHEB_INV_ZETA = np.array([
+    0.9975516942650827, -0.002425941301934889, 2.1985508946302295e-05,
+    -3.696799292821198e-07, 8.953094709454646e-09, -2.7988926874842725e-10,
+    1.0626227272695298e-11, -4.713548668250646e-13, 2.3786211957979692e-14,
+    -1.3393435017357967e-15, 8.289316675499715e-17, -5.511199548250229e-18,
+])
+
 
 def _u_coeffs(n: int) -> np.ndarray:
     u = np.empty(n)
@@ -88,17 +103,10 @@ def _maclaurin(x: np.ndarray) -> np.ndarray:
     return _AI0 * f + _DAI0 * g
 
 
-def _asym_pos(x: np.ndarray) -> np.ndarray:
+def _cheb_inv_zeta(x: np.ndarray) -> np.ndarray:
     zeta = (2.0 / 3.0) * x**1.5
-    total = np.zeros_like(x)
-    term = np.ones_like(x)
-    live = np.ones_like(x, dtype=bool)
-    for k in range(len(_U) - 1):
-        total = np.where(live, total + term, total)
-        nxt = (-1.0) ** (k + 1) * _U[k + 1] / zeta ** (k + 1)
-        live &= np.abs(nxt) < np.abs(term)
-        term = nxt
-    return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x**0.25) * total
+    s = _chebval_on(_CHEB_INV_ZETA, 0.0, _INV_ZETA_HI, 1.0 / zeta)
+    return s * np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x**0.25)
 
 
 def _asym_neg(x: np.ndarray) -> np.ndarray:
@@ -148,9 +156,10 @@ def airy_ai(x):
         zeta = (2.0 / 3.0) * xs**1.5
         s = _chebval_on(_CHEB_POS_SCALED, _CHEB_POS_LO, _CHEB_POS_HI, xs)
         out[m] = s * np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * xs**0.25)
-    m = arr >= _XD
+    m = (arr >= _XD) & (arr < _X_UNDERFLOW)
     if m.any():
-        out[m] = _asym_pos(arr[m])
+        out[m] = _cheb_inv_zeta(arr[m])
+    out[arr >= _X_UNDERFLOW] = 0.0
     return float(out[0]) if scalar else out
 
 

@@ -29,6 +29,13 @@ DET_M2 = 0.995043429941833         # taus=(-1,1), s=(0,0)
 F_M2 = 0.2903659316588897
 F_M2_HALF = 0.32811945333337716    # taus=(-0.5,0.5)
 
+# F(tau, (s,)*m) at s = -4, 0, 4, as pinned for the benchmark
+# (perfbench/pinned_cdf.json); a drift beyond 1e-9 fails the benchmark too
+PINNED_F = {
+    (0.0,): (2.196194897046793e-06, 0.5234607316649912, 0.9991198204512367),
+    (-1.0, 1.0): (1.788604963119515e-07, 0.2903659316838697, 0.9838065175586201),
+}
+
 
 def test_det_empty_projection():
     assert fredholm_det(MultiPointSpec((0.0,), (10.0,)), Q) == pytest.approx(1.0, abs=1e-6)
@@ -173,3 +180,47 @@ def test_convergence_under_refinement():
         assert gaps["f_gap"] <= 1e-6
         assert gaps["det_gap"] <= 1e-8
         assert gaps["g_gap"] <= 1e-6
+
+
+def test_limit_cdf_pinned_values():
+    for taus, values in PINNED_F.items():
+        for s, ref in zip((-4.0, 0.0, 4.0), values):
+            f = limit_cdf(MultiPointSpec(taus, (s,) * len(taus)), Q).f_value
+            assert abs(f - ref) <= 1e-9, (taus, s, f, ref)
+
+
+def test_limit_cdf_builds_five_systems(monkeypatch):
+    built = []
+    init = NystromSystem.__init__
+
+    def counting_init(self, spec, quad):
+        built.append(spec.esses)
+        init(self, spec, quad)
+
+    monkeypatch.setattr(NystromSystem, "__init__", counting_init)
+    for taus in ((0.0,), (-1.0, 1.0), (-1.0, 0.0, 1.0)):
+        built.clear()
+        res = limit_cdf(MultiPointSpec(taus, (0.5,) * len(taus)), Q)
+        assert len(built) == 5 == res.diagnostics["systems_built"]
+        # every threshold moves together: one difference along (1, ..., 1)
+        assert all(len(set(np.subtract(e, 0.5).round(12))) == 1 for e in built)
+        d = res.diagnostics
+        assert d["logdet"] == pytest.approx(np.log(res.det_value), abs=1e-13)
+        assert d["nodes"] == len(taus) * Q.n and len(d["lengths"]) == len(taus)
+        assert d["lam_len"] >= 16.0 and d["lam_nodes"] > 0
+
+
+def test_shared_lu_matches_numpy():
+    for spec in (MultiPointSpec((0.0,), (-1.0,)), MultiPointSpec((-1.0, 1.0), (-2.0, 0.5))):
+        sysm = NystromSystem(spec, Q)
+        a = np.eye(sysm.matrix.shape[0]) - sysm.matrix
+        sign, logabs = np.linalg.slogdet(a)
+        assert sysm.det == pytest.approx(sign * np.exp(logabs), rel=1e-13)
+        terms = def11_terms(spec, Q, sysm)
+        sq = np.sqrt(np.concatenate(sysm.weights))
+        f = sq * np.concatenate(terms.phi)
+        g = sq * np.concatenate(terms.psi)
+        ref = float(g @ f) + float(g @ np.linalg.solve(a, sysm.matrix @ f))
+        assert sysm.resolvent_inner(terms.phi, terms.psi) == pytest.approx(ref, rel=1e-13)
+        ok, diag = invertibility_guard(spec, Q)
+        assert ok and diag["det"] == pytest.approx(sysm.det, rel=1e-13)

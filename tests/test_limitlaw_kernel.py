@@ -18,7 +18,9 @@ from stasep.limitlaw import (
     psi_function,
     NystromSystem,
     _r_value,
+    _tail_integrals,
 )
+from stasep.specfun import airy_ai, composite_rule
 
 DAI_ZERO_SQ = 0.06698748377966399
 
@@ -134,3 +136,20 @@ def test_def11_node_tables_consistent_with_functions():
     for j in (1, 2):
         vals = psi_function(spec, j, sysm.nodes[j - 1])
         assert np.allclose(terms.psi[j - 1], vals, atol=1e-12)
+
+
+def test_tail_integrals_match_2d_quadrature():
+    # e^{a v} T(v) = int_0^inf e^{-a x} Ai(x + v + b) dx, computed the way the
+    # Psi and Phi tables were built before: one composite rule in x and a
+    # (points x rule) Airy table.  Points are unsorted and repeat.
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform(-4.5, 14.0, 37), [0.0, 0.0, 2.5, 2.5, 2.5]])
+    rng.shuffle(pts)
+    rule = composite_rule(0.0, 40.0, 27, 24)
+    for tau in (-1.0, 0.0, 1.0, 2.0):
+        for a in (tau, -tau):
+            got = np.exp(a * pts) * _tail_integrals(a, tau**2, pts, 42.0)
+            table = airy_ai(pts[:, None] + tau**2 + rule.nodes[None, :])
+            ref = table @ (rule.weights * np.exp(-a * rule.nodes))
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (tau, a)
+            assert np.array_equal(got[pts == 2.5], np.full(3, got[pts == 2.5][0]))

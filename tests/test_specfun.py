@@ -37,6 +37,27 @@ def test_airy_against_reference_grid():
         assert abs(v - ref) <= 1e-10 * scale, (x, v, ref)
 
 
+def test_airy_decaying_branch_against_mpmath():
+    # x >= 7.6: the Chebyshev series in 1/zeta, relative to a 30-digit
+    # reference wherever Ai(x) is a normal float (x < 104.2); the subnormal
+    # values up to the underflow point keep an absolute accuracy of 1e-320
+    xs = np.linspace(7.6, 107.5, 800)
+    vals = airy_ai(xs)
+    for x, v in zip(xs, vals):
+        ref = mp.airyai(mp.mpf(float(x)))
+        if ref > mp.mpf("2.3e-308"):
+            assert abs(v - ref) <= 1e-12 * ref, (x, v, ref)
+        else:
+            assert abs(v - ref) <= 1e-320, (x, v, ref)
+    # both sides of the 7.6 joint
+    for x in (7.6 - 1e-12, 7.6, 7.6 + 1e-12):
+        ref = mp.airyai(mp.mpf(x))
+        assert abs(airy_ai(x) - ref) <= 1e-12 * ref, x
+    # Ai(x) < 2^-1075 from x = 107.4655..., which float64 rounds to 0
+    assert airy_ai(107.46) > 0.0
+    assert np.all(airy_ai(np.array([107.47, 107.5, 150.0, 200.0])) == 0.0)
+
+
 def test_airy_positive_decay():
     xs = np.linspace(0.0, 30.0, 301)
     vals = airy_ai(xs)
