@@ -61,7 +61,7 @@ _SCHEMAS = {
     },
     "limit-cdf": {
         "taus": list, "s_min": float, "s_max": float, "s_step": float,
-        "quad_n": int, "quad_lambda": float, "quad_h_fd": float,
+        "quad_n": int, "quad_lambda": float,
     },
     "compare": {
         "rho": float, "T": float, "taus": list, "n_samples": int,
@@ -84,7 +84,7 @@ _DEFAULTS = {
     },
     "limit-cdf": {
         "taus": [0.0], "s_min": -4.0, "s_max": 4.0, "s_step": 0.5,
-        "quad_n": 64, "quad_lambda": 12.0, "quad_h_fd": 1e-3,
+        "quad_n": 64, "quad_lambda": 12.0,
     },
     "compare": {
         "rho": 0.5, "T": 500.0, "taus": [0.0], "n_samples": 10000,
@@ -186,18 +186,15 @@ def cmd_simulate_tasep(cfg, outdir: Path) -> int:
 
 
 def cmd_limit_cdf(cfg, outdir: Path) -> int:
-    quad = QuadratureConfig(n=cfg["quad_n"], big_lambda=cfg["quad_lambda"], h_fd=cfg["quad_h_fd"])
+    quad = QuadratureConfig(n=cfg["quad_n"], big_lambda=cfg["quad_lambda"])
     taus = tuple(float(t) for t in cfg["taus"])
     m = len(taus)
     grid = np.arange(cfg["s_min"], cfg["s_max"] + 0.5 * cfg["s_step"], cfg["s_step"])
     rows = []
     for s in grid:
         res = limit_cdf(MultiPointSpec(taus, (float(s),) * m), quad)
-        rows.append(
-            tuple(float(s) for _ in range(m))
-            + (res.f_value, res.det_value, res.g_value, res.diagnostics["fd_spread_max"])
-        )
-    header = [f"s_{k+1}" for k in range(m)] + ["F", "det", "g", "fd_spread"]
+        rows.append(tuple(float(s) for _ in range(m)) + (res.f_value, res.det_value, res.g_value))
+    header = [f"s_{k+1}" for k in range(m)] + ["F", "det", "g"]
     write_csv(outdir / "cdf.csv", "limit-cdf", cfg, header, rows)
     return 0
 

@@ -25,10 +25,23 @@ first term of Phi reuses.  B(lambda), Psi_j and the third term of Phi are
 one-dimensional tail integrals T(v) = int_v^inf e^{-a u} Ai(u + b) du, each
 tabulated over a whole point set in one pass (_tail_integrals).
 
-sum_k d/ds_k is the derivative along (1, ..., 1): one central difference
-in that direction (the whole system is rebuilt at the shifted thresholds,
-nodes moving with the interval) with one Richardson step, so a CDF point
-builds five systems for every m.
+sum_k d/ds_k is the derivative along (1, ..., 1), taken in closed form from
+the one system at s.  Under a uniform shift of the thresholds the nodes move
+with their intervals, and integrating by parts in lambda gives
+
+    (d_x + d_y) Khat_ij = -Ai(x + tau_i^2) Ai(y + tau_j^2) + (tau_j - tau_i) Khat_ij,
+    Psi_j' = tau_j Psi_j + Ai(y + tau_j^2),
+    Phi_i' = -tau_i Phi_i + (1 - c B(0)) Ai(x + tau_i^2),   R' = 1 - c B(0),
+
+with c = e^{-2/3 tau_1^3}.  In balanced form D' = -a a^T + [D, T], where
+a = sqrt(w) Ai(x + tau^2) and T = diag(tau).  The commutator has zero trace
+against (1-D)^{-1} and its pairing terms cancel the tau-terms of Psi' and
+Phi', so with v = (1-D)^{-1} phi and u = (1-D)^{-T} psi
+
+    d log det = a^T (1-D)^{-1} a,
+    <rho Phi, Psi>' = a^T v + (1 - c B(0)) u^T a - (u^T a)(a^T v),
+
+three solves against the one LU (_shift_derivatives).
 """
 
 import math
@@ -77,7 +90,6 @@ class MultiPointSpec:
 class QuadratureConfig:
     n: int = 64               # Gauss-Legendre nodes per threshold interval
     big_lambda: float = 12.0  # truncation length of [s_k, s_k + Lambda]
-    h_fd: float = 1e-3        # step of the central difference along (1, ..., 1)
     lambda_panel: float = 1.5
     lambda_nodes: int = 24
     tail_exponent: float = 42.0  # e^-42 ~ 5e-19 certified tail mass
@@ -87,15 +99,12 @@ class QuadratureConfig:
             raise ParameterError("need n >= 16 nodes per interval")
         if self.big_lambda < 8:
             raise ParameterError("need Lambda >= 8")
-        if not 1e-5 <= self.h_fd <= 1e-2:
-            raise ParameterError("h_fd must lie in [1e-5, 1e-2]")
 
     def refined(self) -> "QuadratureConfig":
         """The (2n, Lambda+4) companion used for convergence checks."""
         return QuadratureConfig(
             n=2 * self.n,
             big_lambda=self.big_lambda + 4.0,
-            h_fd=self.h_fd,
             lambda_panel=self.lambda_panel,
             lambda_nodes=self.lambda_nodes,
             tail_exponent=self.tail_exponent,
@@ -287,16 +296,23 @@ class NystromSystem:
             )
         return sign * math.exp(logabs)
 
+    def balanced(self, table: np.ndarray) -> np.ndarray:
+        """sqrt(w) times a node table of shape (m, n), as one vector."""
+        return np.sqrt(np.concatenate(self.weights)) * np.concatenate(table)
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """(1-D)^{-1} rhs, or (1-D)^{-T} rhs, from the shared LU."""
+        return lu_solve(self._factor(), rhs, trans=1 if transpose else 0)
+
     def resolvent_inner(self, phi: np.ndarray, psi: np.ndarray) -> float:
         """<rho P Phi, P Psi> with the identity component kept exact.
 
         phi, psi are node tables of shape (m, n), row k sampled on nodes[k].
         """
-        sq = np.concatenate([np.sqrt(w) for w in self.weights])
-        f = sq * np.concatenate(phi)
-        g = sq * np.concatenate(psi)
+        f = self.balanced(phi)
+        g = self.balanced(psi)
         direct = float(g @ f)
-        z = lu_solve(self._factor(), self.matrix @ f)
+        z = self.solve(self.matrix @ f)
         return direct + float(g @ z)
 
 
@@ -399,6 +415,7 @@ class Def11Terms:
     r_value: float
     psi: np.ndarray  # (m, n) tables on the system nodes
     phi: np.ndarray
+    b_zero: float    # B(0) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2) dy
 
 
 def _r_value(spec: MultiPointSpec, tail_exponent: float = 42.0) -> float:
@@ -423,7 +440,7 @@ def _psi_values(tau_j: float, y: np.ndarray, tail_exponent: float = 42.0) -> np.
 
 def _b_table(spec: MultiPointSpec, lam: np.ndarray, tail_exponent: float = 42.0) -> np.ndarray:
     """B(l) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2 + l) dy = e^{tau1 l} T(s1 + l)
-    on the lambda grid (a = tau1, b = tau1^2)."""
+    at the points lam (a = tau1, b = tau1^2)."""
     t1 = spec.taus[0]
     s1 = spec.esses[0]
     target = tail_exponent + max(-t1 * s1, 0.0)
@@ -464,7 +481,7 @@ def _phi_values(
 
 
 def def11_terms(spec: MultiPointSpec, quad: QuadratureConfig, system: Optional[NystromSystem] = None) -> Def11Terms:
-    """R, Psi_j, Phi_i tabulated at the Nystrom nodes."""
+    """R, Psi_j, Phi_i tabulated at the Nystrom nodes, and B(0)."""
     sysm = system if system is not None else NystromSystem(spec, quad)
     b_table = _b_table(spec, sysm.lam, quad.tail_exponent)
     psi = np.stack(
@@ -479,7 +496,8 @@ def def11_terms(spec: MultiPointSpec, quad: QuadratureConfig, system: Optional[N
             for i in range(spec.m)
         ]
     )
-    return Def11Terms(r_value=_r_value(spec, quad.tail_exponent), psi=psi, phi=phi)
+    b_zero = float(_b_table(spec, np.zeros(1), quad.tail_exponent)[0])
+    return Def11Terms(r_value=_r_value(spec, quad.tail_exponent), psi=psi, phi=phi, b_zero=b_zero)
 
 
 def psi_function(spec: MultiPointSpec, j: int, y) -> np.ndarray:
@@ -530,27 +548,34 @@ class LimitLawResult:
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
 
+def _shift_derivatives(
+    spec: MultiPointSpec, sysm: NystromSystem, terms: Def11Terms
+) -> Tuple[float, float]:
+    """(d log det, dg) along (1, ..., 1), from the identities in the module
+    docstring and three solves against the system's LU."""
+    a = sysm.balanced([airy_ai(x + t**2) for x, t in zip(sysm.nodes, spec.taus)])
+    ra, v = sysm.solve(np.stack([a, sysm.balanced(terms.phi)], axis=1)).T
+    u = sysm.solve(sysm.balanced(terms.psi), transpose=True)
+    dr = 1.0 - math.exp(-(2.0 / 3.0) * spec.taus[0] ** 3) * terms.b_zero
+    av = float(a @ v)
+    ua = float(u @ a)
+    dpairing = av + dr * ua - ua * av
+    return float(a @ ra), dr - dpairing
+
+
 def limit_cdf(
     spec: MultiPointSpec,
     quad: QuadratureConfig = QuadratureConfig(),
     alarm_band: float = 1e-3,
 ) -> LimitLawResult:
-    """F = sum_k d/ds_k (g_m * det), the derivative of g_m * det along
-    (1, ..., 1): one Richardson-extrapolated central difference, from the
-    systems at s +- h and s +- h/2 (five systems with the one at s)."""
+    """F = sum_k d/ds_k (g_m * det) = det * (g' + g * (log det)'), the
+    derivative along (1, ..., 1) in closed form from the one system at s."""
     base = NystromSystem(spec, quad)
     det0 = base.det
-    g0 = g_m(spec, quad, base)
-    esses = np.array(spec.esses)
-    h = quad.h_fd
-    products = []
-    for shift in (h, -h, 0.5 * h, -0.5 * h):
-        shifted = spec.with_esses(esses + shift)
-        sysm = NystromSystem(shifted, quad)
-        products.append(g_m(shifted, quad, sysm) * sysm.det)
-    d_h = (products[0] - products[1]) / (2 * h)
-    d_h2 = (products[2] - products[3]) / h
-    f = float((4.0 * d_h2 - d_h) / 3.0)
+    terms = def11_terms(spec, quad, base)
+    g0 = terms.r_value - base.resolvent_inner(terms.phi, terms.psi)
+    dlogdet, dg = _shift_derivatives(spec, base, terms)
+    f = det0 * (dg + g0 * dlogdet)
     if not (-alarm_band <= f <= 1.0 + alarm_band):
         raise AccuracyError(
             f"limit CDF value {f} outside [-{alarm_band}, 1+{alarm_band}]: "
@@ -563,9 +588,7 @@ def limit_cdf(
         diagnostics={
             "n": quad.n,
             "big_lambda": quad.big_lambda,
-            "h_fd": quad.h_fd,
-            "fd_spread_max": float(abs(d_h2 - d_h)),
-            "systems_built": 1 + len(products),
+            "systems_built": 1,
             "lengths": [float(v) for v in base.lengths],
             "lam_len": base.lam_len,
             "nodes": spec.m * quad.n,

@@ -108,11 +108,6 @@ class JumpLog:
     )
     _seen_len: int = field(default=-1, init=False, repr=False, compare=False)
 
-    def crossing_times(self, label: int) -> np.ndarray:
-        lt = np.asarray(self.labels)
-        t = np.asarray(self.times)
-        return np.sort(t[lt == label])
-
     def jump_time(self, i: int, j: int) -> Optional[float]:
         """Time of the jump with clock index (i, j), i.e. particle j into
         site i - j; None if it has not occurred.  The log is append-only.

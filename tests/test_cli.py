@@ -21,7 +21,7 @@ def test_limit_cdf_csv(tmp_path):
     header = [l for l in lines if l.startswith("#")]
     assert any("config-hash" in l for l in header)
     body = [l for l in lines if not l.startswith("#")]
-    assert body[0] == "s_1,F,det,g,fd_spread"
+    assert body[0] == "s_1,F,det,g"
     fvals = [float(l.split(",")[1]) for l in body[1:]]
     assert len(fvals) == 9
     assert all(b >= a - 1e-9 for a, b in zip(fvals, fvals[1:]))  # monotone column

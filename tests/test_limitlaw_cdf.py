@@ -189,7 +189,7 @@ def test_limit_cdf_pinned_values():
             assert abs(f - ref) <= 1e-9, (taus, s, f, ref)
 
 
-def test_limit_cdf_builds_five_systems(monkeypatch):
+def test_limit_cdf_builds_one_system(monkeypatch):
     built = []
     init = NystromSystem.__init__
 
@@ -201,13 +201,34 @@ def test_limit_cdf_builds_five_systems(monkeypatch):
     for taus in ((0.0,), (-1.0, 1.0), (-1.0, 0.0, 1.0)):
         built.clear()
         res = limit_cdf(MultiPointSpec(taus, (0.5,) * len(taus)), Q)
-        assert len(built) == 5 == res.diagnostics["systems_built"]
-        # every threshold moves together: one difference along (1, ..., 1)
-        assert all(len(set(np.subtract(e, 0.5).round(12))) == 1 for e in built)
+        assert built == [(0.5,) * len(taus)] and res.diagnostics["systems_built"] == 1
         d = res.diagnostics
         assert d["logdet"] == pytest.approx(np.log(res.det_value), abs=1e-13)
         assert d["nodes"] == len(taus) * Q.n and len(d["lengths"]) == len(taus)
         assert d["lam_len"] >= 16.0 and d["lam_nodes"] > 0
+
+
+def _richardson_cdf(spec, h=2e-3):
+    """F as the Richardson-extrapolated central difference of g * det along
+    (1, ..., 1), from systems rebuilt at s +- h and s +- h/2."""
+    products = []
+    for shift in (h, -h, 0.5 * h, -0.5 * h):
+        shifted = spec.with_esses(np.array(spec.esses) + shift)
+        sysm = NystromSystem(shifted, Q)
+        products.append(g_m(shifted, Q, sysm) * sysm.det)
+    d_h = (products[0] - products[1]) / (2 * h)
+    d_h2 = (products[2] - products[3]) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def test_limit_cdf_matches_richardson_difference():
+    for taus in ((0.0,), (-1.0, 1.0), (-0.7, 0.2, 1.1)):
+        for s in (-2.0, 0.0, 1.5):
+            esses = tuple(s + 0.3 * k for k in range(len(taus)))
+            spec = MultiPointSpec(taus, esses)
+            f = limit_cdf(spec, Q).f_value
+            ref = _richardson_cdf(spec)
+            assert abs(f - ref) <= 1e-9, (taus, esses, f, ref)
 
 
 def test_shared_lu_matches_numpy():

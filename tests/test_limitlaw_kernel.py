@@ -3,6 +3,8 @@
 Frozen expected values were computed with independent scipy.integrate.quad /
 scipy.special.airy oracles (see the repr'd constants)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from stasep.limitlaw import (
     phi_function,
     psi_function,
     NystromSystem,
+    _b_table,
     _r_value,
     _tail_integrals,
 )
@@ -43,8 +46,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(n=8)
     with pytest.raises(ParameterError):
         QuadratureConfig(big_lambda=4.0)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(h_fd=0.5)
     r = QuadratureConfig().refined()
     assert r.n == 128 and r.big_lambda == 16.0
 
@@ -153,3 +154,59 @@ def test_tail_integrals_match_2d_quadrature():
             ref = table @ (rule.weights * np.exp(-a * rule.nodes))
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (tau, a)
             assert np.array_equal(got[pts == 2.5], np.full(3, got[pts == 2.5][0]))
+
+
+# Uniform-shift identities behind the closed-form derivative in limit_cdf:
+# every threshold and every evaluation point moves by the same delta.
+SHIFT_SPEC = MultiPointSpec((-0.7, 0.2, 1.1), (-0.5, 0.3, 1.0))
+SHIFT_POINTS = np.array([-2.0, -0.4, 0.0, 0.9, 2.5])
+
+
+def _shift_derivative(fn, h=2e-3):
+    """Richardson-extrapolated central difference of fn(delta) at 0."""
+    d_h = (fn(h) - fn(-h)) / (2.0 * h)
+    d_h2 = (fn(0.5 * h) - fn(-0.5 * h)) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def _shifted(delta):
+    return SHIFT_SPEC.with_esses(np.array(SHIFT_SPEC.esses) + delta)
+
+
+def test_kernel_shift_identity():
+    # (d_x + d_y) Khat_ij = -Ai(x + tau_i^2) Ai(y + tau_j^2) + (tau_j - tau_i) Khat_ij,
+    # Gaussian branch (tau_i > tau_j) included
+    taus = SHIFT_SPEC.taus
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            for x, y in ((-1.0, 0.5), (0.3, 0.3), (1.5, -0.8)):
+                fd = _shift_derivative(lambda d: khat(_shifted(d), i, j, x + d, y + d))
+                exact = -airy_ai(x + taus[i - 1] ** 2) * airy_ai(y + taus[j - 1] ** 2) + (
+                    taus[j - 1] - taus[i - 1]
+                ) * khat(SHIFT_SPEC, i, j, x, y)
+                assert abs(fd - exact) <= 1e-9, (i, j, x, y, fd, exact)
+
+
+def test_psi_shift_identity():
+    # Psi_j' = tau_j Psi_j + Ai(y + tau_j^2)
+    for j, tau in enumerate(SHIFT_SPEC.taus, start=1):
+        fd = _shift_derivative(lambda d: psi_function(_shifted(d), j, SHIFT_POINTS + d))
+        exact = tau * psi_function(SHIFT_SPEC, j, SHIFT_POINTS) + airy_ai(SHIFT_POINTS + tau**2)
+        assert np.max(np.abs(fd - exact)) <= 1e-9, j
+
+
+def test_phi_and_r_shift_identities():
+    # Phi_i' = -tau_i Phi_i + (1 - c B(0)) Ai(x + tau_i^2) and R' = 1 - c B(0),
+    # c = e^{-2/3 tau_1^3}; Phi and R depend on s_1, which moves too
+    t1 = SHIFT_SPEC.taus[0]
+    b_zero = float(_b_table(SHIFT_SPEC, np.zeros(1))[0])
+    dr = 1.0 - math.exp(-(2.0 / 3.0) * t1**3) * b_zero
+    for i, tau in enumerate(SHIFT_SPEC.taus, start=1):
+        fd = _shift_derivative(lambda d: phi_function(_shifted(d), i, SHIFT_POINTS + d))
+        exact = -tau * phi_function(SHIFT_SPEC, i, SHIFT_POINTS) + dr * airy_ai(SHIFT_POINTS + tau**2)
+        assert np.max(np.abs(fd - exact)) <= 1e-9, i
+    assert abs(_shift_derivative(lambda d: _r_value(_shifted(d))) - dr) <= 1e-9
+    # def11_terms carries the same B(0)
+    quad = QuadratureConfig(n=24)
+    terms = def11_terms(SHIFT_SPEC, quad, NystromSystem(SHIFT_SPEC, quad))
+    assert terms.b_zero == b_zero

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from stasep import specfun
 from stasep.errors import AccuracyError, DomainError, ParameterError
 from stasep.specfun import (
     QuadratureRule,
@@ -157,3 +158,59 @@ def test_integrate_semiinfinite_cauchy_failure():
         integrate_semiinfinite(f, 0.0, 1.0)
     assert err.value.coarse is not None
     assert err.value.fine is not None
+
+
+def _maclaurin_40_terms(x):
+    """The Maclaurin branch as it summed before its early stop: always 40 terms."""
+    x3 = x * x * x
+    f = np.ones_like(x)
+    g = x.copy()
+    tf = np.ones_like(x)
+    tg = x.copy()
+    for k in range(40):
+        tf = tf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
+        tg = tg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
+        f += tf
+        g += tg
+    return specfun._AI0 * f + specfun._DAI0 * g
+
+
+def test_maclaurin_early_stop_is_bitwise():
+    dense = np.linspace(-4.3, 3.95, 200_001)[1:-1]
+    assert np.array_equal(specfun._maclaurin(dense), _maclaurin_40_terms(dense))
+    # the branch joints, tiny |x|, and the zeros of the f and g series, where
+    # a partial sum is smallest and absorbs its terms last
+    zeros = np.array([-3.825339191160454, -1.9863527074304728, -2.6663526904069377])
+    joints = np.concatenate([
+        np.nextafter(-4.3, 0.0) + 1e-9 * np.arange(64),
+        np.nextafter(3.95, 0.0) - 1e-9 * np.arange(64),
+        [0.0, -0.0, 1e-300, -1e-300, 0.5, -1.0],
+        (zeros[:, None] + 1e-15 * np.arange(-8, 9)).ravel(),
+    ])
+    assert np.array_equal(specfun._maclaurin(joints), _maclaurin_40_terms(joints))
+    for x in joints:  # 1-element arrays start checking at their own |x|
+        one = np.array([x])
+        assert specfun._maclaurin(one)[0] == _maclaurin_40_terms(one)[0], x
+    rng = np.random.default_rng(3)
+    for scale in (0.05, 0.5, 1.0, 2.0, 4.2):
+        x = rng.uniform(-scale, min(scale, 3.9), 257)
+        assert np.array_equal(specfun._maclaurin(x), _maclaurin_40_terms(x)), scale
+    assert specfun._maclaurin(np.empty(0)).size == 0
+
+
+def test_composite_rule_matches_per_panel_rules():
+    rng = np.random.default_rng(5)
+    cases = [(0.0, 20.0, 14, 24), (-3.3, 0.0, 7, 16), (1.234, 57.89, 39, 24), (5.0, 5.5, 1, 8)]
+    for _ in range(300):
+        lo = float(rng.uniform(-10.0, 10.0))
+        cases.append((lo, lo + float(rng.uniform(0.1, 50.0)), int(rng.integers(1, 40)), 8))
+    for lo, hi, panels, nodes in cases:
+        rule = composite_rule(lo, hi, panels, nodes)
+        edges = np.linspace(lo, hi, panels + 1)
+        parts = [legendre_rule(nodes, a, b) for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(rule.nodes, np.concatenate([p.nodes for p in parts]))
+        assert np.array_equal(rule.weights, np.concatenate([p.weights for p in parts]))
+        assert rule.interval == (lo, hi)
+    for args in ((0.0, 1.0, 0, 8), (0.0, 1.0, 2, 0), (1.0, 1.0, 2, 8)):
+        with pytest.raises(ParameterError):
+            composite_rule(*args)
