@@ -53,7 +53,7 @@ from .weights import ModelParams
 _SCHEMAS = {
     "simulate-lpp": {
         "rho": float, "T": float, "taus": list, "n_samples": int,
-        "master_seed": int, "threads": int,
+        "master_seed": int,
     },
     "simulate-tasep": {
         "rho": float, "t_end": float, "obs_lo": int, "obs_hi": int,
@@ -76,7 +76,7 @@ _SCHEMAS = {
 _DEFAULTS = {
     "simulate-lpp": {
         "rho": 0.5, "T": 500.0, "taus": [0.0], "n_samples": 2000,
-        "master_seed": 1, "threads": 1,
+        "master_seed": 1,
     },
     "simulate-tasep": {
         "rho": 0.5, "t_end": 50.0, "obs_lo": -100, "obs_hi": 100,

@@ -1,20 +1,14 @@
 """Last-passage dynamic programming with multi-point extraction.
 
-G(x, y) = max over up-right paths (0,0) -> (x,y) of the path weight sum,
-computed with rolling-row storage.  Two sweep implementations:
-
-  * serial: plain Python recursion G = w + max(left, below).  Every DP value
-    equals the sequentially-rounded sum along some path, which makes it
-    bit-exact against the enumeration oracle (float addition is commutative
-    and rounding is monotone, so the max survives each +w step).
-  * scan: per-row cumsum + running max (and batched across samples), used
-    for Monte Carlo scale.  Agrees with serial up to a few ulps only, since
-    the path sums are re-associated.
-
-Small grids dispatch to serial so the exactness contract holds where the
-enumeration oracle can reach.  Ties in the max would break toward the
-horizontal predecessor; with continuous weights they almost surely never
-occur and DP values are unaffected either way.
+G(x, y) = max over up-right paths (0,0) -> (x,y) of the path weight sum.
+One kernel, _sweep, runs the exact recursion G = w + max(left, below) row
+by row over a staircase domain, vectorized across independent weight
+fields (lanes): one lane for a single sample, the samples of a batch, or a
+TASEP bridge instance.  Every DP value equals the sequentially-rounded sum
+along some path, which makes it bit-exact against the enumeration oracle
+(float addition is commutative and rounding is monotone, so the max
+survives each +w step), and makes batch and single-sample results equal
+bit for bit.  Ties in the max do not affect DP values.
 """
 
 from dataclasses import dataclass
@@ -26,7 +20,6 @@ import numpy as np
 from .errors import DomainError, RefusalError
 from .weights import HASH_BLOCK_CELLS, BatchWeights, ModelParams, WeightOracle
 
-SERIAL_CELL_CAP = 20_000
 BRUTE_FORCE_CAP = 22  # x + y; C(22,11) ~ 7e5 paths
 
 Point = Tuple[int, int]
@@ -51,112 +44,64 @@ class PassageResult:
     sample_index: int
 
 
-def _sweep_serial(oracle: WeightOracle, points: List[Point]) -> Dict[Point, float]:
-    xmax = max(p[0] for p in points)
-    ymax = max(p[1] for p in points)
-    by_row: Dict[int, List[int]] = {}
-    for x, y in points:
-        by_row.setdefault(y, []).append(x)
-    out: Dict[Point, float] = {}
-    row = None
-    for j in range(ymax + 1):
-        w = oracle.row_weights(j, xmax)
-        if j == 0:
-            g = [0.0] * (xmax + 1)
-            g[0] = w[0]
-            for i in range(1, xmax + 1):
-                g[i] = g[i - 1] + w[i]
-        else:
-            g = row
-            g[0] = g[0] + w[0]
-            for i in range(1, xmax + 1):
-                below = g[i]
-                left = g[i - 1]
-                g[i] = w[i] + (left if left > below else below)
-        row = g
-        for x in by_row.get(j, ()):
-            out[(x, j)] = g[x]
-    return out
+def _sweep(row_weights, starts, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarray:
+    """G(i, j) = w(i, j) + max(G(i-1, j), G(i, j-1)) for rows j = 0, 1, ...
+    over the domain {starts[j] <= i <= stops[j]}, G = 0 off it, for `lanes`
+    weight fields at once; returns G at the wanted (i, j), shape
+    (len(wanted), lanes).
 
-
-def _scan_row(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One row of the max-plus recursion, vectorized along the row.
-
-    G_new[i] = S[i] + max_{k<=i}(G_old[k] - S[k-1]) with S the row cumsum;
-    the max over the entry column k replaces the left/below recursion.
-    Works on (n,) or batched (B, n) arrays (axis=-1).
+    row_weights(j, lo, hi) gives w(lo..hi, j) as a (cells, lanes) array and
+    is asked for blocks of HASH_BLOCK_CELLS // lanes cells.  Nonincreasing
+    starts and stops make every cell's lower neighbour either computed or
+    never written (zero), and the first cell of each row takes w + below.
     """
-    s = np.cumsum(w, axis=-1)
-    a = g.copy()
-    a[..., 1:] -= s[..., :-1]
-    np.maximum.accumulate(a, axis=-1, out=a)
-    return s + a
-
-
-def _sweep_scan(oracle: WeightOracle, points: List[Point]) -> Dict[Point, float]:
-    xmax = max(p[0] for p in points)
-    ymax = max(p[1] for p in points)
-    by_row: Dict[int, List[int]] = {}
-    for x, y in points:
-        by_row.setdefault(y, []).append(x)
-    out: Dict[Point, float] = {}
-    g = np.cumsum(oracle.row_weights(0, xmax))
-    for x in by_row.get(0, ()):
-        out[(x, 0)] = float(g[x])
-    for j in range(1, ymax + 1):
-        g = _scan_row(g, oracle.row_weights(j, xmax))
-        for x in by_row.get(j, ()):
-            out[(x, j)] = float(g[x])
+    starts, stops = [int(a) for a in starts], [int(b) for b in stops]
+    if min(starts) < 0 or any(
+        a < b for bounds in (starts, stops) for a, b in zip(bounds, bounds[1:])
+    ):
+        raise DomainError("row starts must be nonnegative, starts and stops nonincreasing")
+    by_row: Dict[int, List[Tuple[int, int]]] = {}
+    for k, (i, j) in enumerate(wanted):
+        by_row.setdefault(j, []).append((k, i))
+    out = np.empty((len(wanted), lanes))
+    cells = list(np.zeros((max(stops[0] + 1, 0), lanes)))  # G by column, rolling over rows
+    step = max(1, HASH_BLOCK_CELLS // max(lanes, 1))
+    for j, (lo, hi) in enumerate(zip(starts, stops)):
+        left = None
+        for a in range(lo, hi + 1, step):
+            w = row_weights(j, a, min(a + step, hi + 1) - 1)
+            for g, wg in zip(cells[a : a + step], w):
+                if left is not None:
+                    np.maximum(left, g, out=g)
+                g += wg
+                left = g
+        for k, i in by_row.get(j, ()):
+            out[k] = cells[i]
     return out
+
+
+def _row_reach(pts: List[Point]) -> List[int]:
+    """reach[j], for rows 0..max y: the rightmost column of a point at or
+    above row j.  Row j is swept only that far: the recursion is a prefix
+    one, so a shorter row leaves the values it keeps unchanged."""
+    reach = [0] * (max(p[1] for p in pts) + 2)
+    for x, y in pts:
+        reach[y] = max(reach[y], x)
+    for j in range(len(reach) - 2, -1, -1):
+        reach[j] = max(reach[j], reach[j + 1])
+    return reach[:-1]
 
 
 def last_passage(oracle: WeightOracle, points: Sequence[Point]) -> PassageResult:
     """Passage times to every requested point, captured in one sweep."""
     pts = _check_points(points)
-    xmax = max(p[0] for p in pts)
-    ymax = max(p[1] for p in pts)
-    if (xmax + 1) * (ymax + 1) <= SERIAL_CELL_CAP:
-        vals = _sweep_serial(oracle, pts)
-    else:
-        vals = _sweep_scan(oracle, pts)
+    reach = _row_reach(pts)
+    g = _sweep(
+        lambda j, lo, hi: oracle.row_weights(j, hi)[lo:, None],
+        [0] * len(reach), reach, 1, pts,
+    )
+    vals = {p: float(v[0]) for p, v in zip(pts, g)}
     return PassageResult(values=vals, sample_index=oracle.seed.sample_index)
-
-
-def _accumulate_down(a: np.ndarray, op) -> None:
-    """a[r] = op(a[r-1], a[r]) for r = 1, 2, ... in place: op.accumulate
-    along axis 0, in the same order, vectorized along axis 1."""
-    prev = a[0]
-    for r in a[1:]:
-        op(prev, r, out=r)
-        prev = r
-
-
-def _cumsum_down(w: np.ndarray, s_before) -> np.ndarray:
-    """Running sum down the cells of a (cells, samples) block, continuing
-    from s_before, the sum through the previous block (None at the row
-    start); bitwise np.cumsum along the row.  Returns the block's last sum."""
-    if s_before is not None:
-        np.add(s_before, w[0], out=w[0])
-    _accumulate_down(w, np.add)
-    return w[-1]
-
-
-def _scan_block_t(g: np.ndarray, w: np.ndarray, s_before, m_before):
-    """One (cells, samples) block of _scan_row, bit for bit (a + s and s + a
-    round alike): numpy accumulates one sample's row at a time, a chain of
-    dependent adds and maxes, while stepping down the cells does each step
-    for all samples in one vector operation.  g (old row in, new row out)
-    and w are overwritten; the running sum and max carry over to the next
-    block."""
-    s_last = _cumsum_down(w, s_before)
-    g[1:] -= w[:-1]
-    if s_before is not None:
-        g[0] -= s_before
-        np.maximum(m_before, g[0], out=g[0])
-    _accumulate_down(g, np.maximum)
-    m_last = g[-1].copy()
-    g += w
-    return s_last, m_last
 
 
 def last_passage_batch(
@@ -165,43 +110,20 @@ def last_passage_batch(
     sample_indices,
     points: Sequence[Point],
 ) -> np.ndarray:
-    """G at the requested points for a batch of samples.
+    """G at the requested points for a batch of samples, bit for bit the
+    single-sample last_passage values.
 
     Returns shape (n_samples, n_points), column order following `points`.
-    Row j is swept only as far as the rightmost point at or above it: the
-    scan is a prefix recursion, so a shorter row leaves the values it keeps
-    bit for bit unchanged.  Rows are swept transposed, in blocks of about
-    HASH_BLOCK_CELLS cells x samples (_scan_block_t).
+    Weights come in (cells, samples) blocks from BatchWeights.row_t.
     """
-    pts = _check_points(points)
-    order = {p: k for k, p in enumerate(pts)}
-    cols = [order[(int(p[0]), int(p[1]))] for p in points]
-    xmax = max(p[0] for p in pts)
-    ymax = max(p[1] for p in pts)
-    by_row: Dict[int, List[int]] = {}
-    for x, y in pts:
-        by_row.setdefault(y, []).append(x)
-    reach = [0] * (ymax + 2)  # reach[j]: the last column row j feeds
-    for j in range(ymax, -1, -1):
-        reach[j] = max([reach[j + 1]] + by_row.get(j, []))
+    reach = _row_reach(_check_points(points))
     bw = BatchWeights(params, master_seed, sample_indices)
-    n_samples = len(bw.keys)
-    out = np.empty((n_samples, len(pts)))
-    step = max(1, HASH_BLOCK_CELLS // max(n_samples, 1))
-    g = np.empty((xmax + 1, n_samples))
-    for j in range(ymax + 1):
-        g = g[: reach[j] + 1]
-        s = m = None
-        for a in range(0, len(g), step):
-            w = bw.row_t(j, min(a + step, len(g)) - 1, a)
-            if j:
-                s, m = _scan_block_t(g[a : a + step], w, s, m)
-            else:
-                s = _cumsum_down(w, s)
-                g[a : a + step] = w
-        for x in by_row.get(j, ()):
-            out[:, order[(x, j)]] = g[x]
-    return out[:, cols] if cols != list(range(len(pts))) else out
+    g = _sweep(
+        lambda j, lo, hi: bw.row_t(j, hi, lo),
+        [0] * len(reach), reach, len(bw.keys),
+        [(int(p[0]), int(p[1])) for p in points],
+    )
+    return g.T
 
 
 def last_passage_point_to_point(
@@ -214,28 +136,19 @@ def last_passage_point_to_point(
         raise DomainError(f"start point {frm} outside the first quadrant")
     if fx > tx or fy > ty:
         raise DomainError(f"start {frm} not componentwise <= end {to}")
-    g = None
-    for j in range(fy, ty + 1):
-        w = oracle.row_weights(j, tx)
-        if j == fy:
-            g = [0.0] * (tx + 1)
-            g[fx] = w[fx]
-            for i in range(fx + 1, tx + 1):
-                g[i] = g[i - 1] + w[i]
-        else:
-            g[fx] = g[fx] + w[fx]
-            for i in range(fx + 1, tx + 1):
-                below = g[i]
-                left = g[i - 1]
-                g[i] = w[i] + (left if left > below else below)
-    return g[tx]
+    rows = ty - fy + 1
+    g = _sweep(
+        lambda r, lo, hi: oracle.row_weights(fy + r, hi)[lo:, None],
+        [fx] * rows, [tx] * rows, 1, [(tx, rows - 1)],
+    )
+    return float(g[0, 0])
 
 
 def brute_force_last_passage(oracle: WeightOracle, point: Point) -> float:
     """Exact max over explicitly enumerated up-right paths (testing oracle).
 
     Path sums are accumulated step by step in path order, matching the
-    serial DP's rounding exactly.
+    DP's rounding exactly.
     """
     x, y = int(point[0]), int(point[1])
     if x < 0 or y < 0:

@@ -163,9 +163,10 @@ def airy_ai(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and (np.min(arr) < AIRY_MIN or np.max(arr) > AIRY_MAX):
+    # NaN fails both comparisons, so it is rejected with the out-of-range values
+    if arr.size and not (np.min(arr) >= AIRY_MIN and np.max(arr) <= AIRY_MAX):
         raise DomainError(
-            f"airy_ai argument outside supported range [{AIRY_MIN}, {AIRY_MAX}]"
+            f"airy_ai argument NaN or outside supported range [{AIRY_MIN}, {AIRY_MAX}]"
         )
     out = np.empty_like(arr)
     m = arr < _XA

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ParameterError, RefusalError, WindowError
+from .lpp import _sweep
 from .rng import TAG_INIT, TAG_OMEGA, SeedSpec, exp_from_uniform, uniform_oc
 
 _OFF = 1 << 20  # recenters signed lattice/site indices into counter range
@@ -277,33 +278,6 @@ def queue_exit_time(log: JumpLog, j: int, i: int) -> Optional[float]:
 # the pathwise bridge
 
 
-def _staircase_lpp(
-    waits: WaitingTimes, x: int, row_lo: int, row_hi: int, row_start: Dict[int, int]
-) -> Dict[Tuple[int, int], float]:
-    """Serial last-passage recursion over the staircase domain
-    {(i, j) : row_start[j] <= i <= x, row_lo <= j <= row_hi}; values bit-match
-    the event-driven jump times."""
-    out: Dict[Tuple[int, int], float] = {}
-    prev: Dict[int, float] = {}
-    for j in range(row_lo, row_hi + 1):
-        i0 = row_start[j]
-        if i0 > x:
-            prev = {}
-            continue
-        w = waits.omega_row(j, i0, x)
-        cur: Dict[int, float] = {}
-        left = 0.0
-        for i in range(i0, x + 1):
-            below = prev.get(i, 0.0)
-            best = left if left > below else below
-            cur[i] = w[i - i0] + best
-            left = cur[i]
-        for i, v in cur.items():
-            out[(i, j)] = v
-        prev = cur
-    return out
-
-
 @dataclass
 class BridgeReport:
     ok: bool
@@ -411,10 +385,19 @@ def lpp_bridge_check(
     )
     state, log = evolve(state, waits, t_cap, record=True, check_exclusion=True)
 
-    # DP over rows label_min..y (rows above y cannot feed (x, y))
-    row_start = {j: init_pos[j] + j + 1 for j in range(label_min, y + 1)}
-    dp = _staircase_lpp(waits, x, label_min, y, row_start)
-    l_xy = dp[(x, y)]
+    # DP over rows label_min..y (rows above y cannot feed (x, y)) on the
+    # staircase {x_j(0) + j < i <= x}; row starts may be negative, so the
+    # columns shift by the smallest one, that of row y
+    js = np.arange(label_min, y + 1)
+    starts = np.array([init_pos[j] for j in js]) + js + 1
+    i0 = int(starts[-1])
+    clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1)
+    l_xy = float(
+        _sweep(
+            lambda r, lo, hi: clocks[r, lo : hi + 1, None],
+            starts - i0, [x - i0] * len(js), 1, [(x - i0, len(js) - 1)],
+        )[0, 0]
+    )
 
     pos_y0 = init_pos[y]
 

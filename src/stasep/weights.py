@@ -34,7 +34,7 @@ from .rng import (
 )
 
 
-HASH_BLOCK_CELLS = 32_768  # cells hashed per uniform_oc call in BatchWeights
+HASH_BLOCK_CELLS = 32_768  # cells per uniform_oc call in BatchWeights and per block in lpp._sweep
 
 
 class ModelKind(Enum):
@@ -181,9 +181,9 @@ class WeightOracle:
 class BatchWeights:
     """Row generator for a batch of samples (vectorized across samples).
 
-    row(j, imax) returns shape (n_samples, imax+1), bit-identical to the
-    corresponding per-sample WeightOracle rows; row_t(j, imax) returns the
-    same values laid out as (imax+1, n_samples).
+    row_t(j, imax) returns shape (imax+1, n_samples), bit-identical to the
+    corresponding per-sample WeightOracle rows; row(j, imax) is its
+    transpose.
     """
 
     def __init__(self, params: ModelParams, master_seed: int, sample_indices):
@@ -203,48 +203,43 @@ class BatchWeights:
             self.zeta_minus = np.zeros(n, dtype=int)
 
     def row(self, j: int, imax: int) -> np.ndarray:
-        return self._to_weights(self._neg_log_uniforms(j, 0, imax, False), j, 0)
+        return self.row_t(j, imax).T
 
     def row_t(self, j: int, imax: int, i_lo: int = 0) -> np.ndarray:
         """Cells i_lo..imax of row j, shape (imax+1-i_lo, n_samples)."""
-        w = self._neg_log_uniforms(j, i_lo, imax, True)
-        self._to_weights(w.T, j, i_lo)
-        return w
+        return self._to_weights(self._neg_log_uniforms(j, i_lo, imax), j, i_lo)
 
-    def _neg_log_uniforms(self, j: int, i_lo: int, imax: int, transposed: bool) -> np.ndarray:
-        """-log u over cells (i_lo..imax, j) of every sample, as (samples,
-        cells) or transposed, hashed in blocks of about HASH_BLOCK_CELLS
-        so that the hash's scratch arrays stay in cache."""
+    def _neg_log_uniforms(self, j: int, i_lo: int, imax: int) -> np.ndarray:
+        """-log u over cells (i_lo..imax, j) of every sample, as (cells,
+        samples), hashed in blocks of about HASH_BLOCK_CELLS so that the
+        hash's scratch arrays stay in cache."""
         i = np.arange(i_lo, imax + 1)
         keys = self.keys
-        w = np.empty((len(i), len(keys)) if transposed else (len(keys), len(i)))
-        step = max(1, HASH_BLOCK_CELLS // max(w.shape[1], 1))
-        for a in range(0, w.shape[0], step):
+        w = np.empty((len(i), len(keys)))
+        step = max(1, HASH_BLOCK_CELLS // max(len(keys), 1))
+        for a in range(0, len(i), step):
             block = w[a : a + step]
-            if transposed:
-                uniform_oc(keys[None, :], TAG_FIELD, i[a : a + step, None], j, out=block)
-            else:
-                uniform_oc(keys[a : a + step, None], TAG_FIELD, i[None, :], j, out=block)
+            uniform_oc(keys[None, :], TAG_FIELD, i[a : a + step, None], j, out=block)
             np.log(block, out=block)
             np.negative(block, out=block)
         return w
 
     def _to_weights(self, w: np.ndarray, j: int, i_lo: int) -> np.ndarray:
-        """Scale w = -log u over cells i_lo.. (viewed as samples x cells) in
-        place to the weights mean * (-log u).  That equals exp_from_uniform's
+        """Scale w = -log u over cells i_lo.. (cells x samples) in place to
+        the weights mean * (-log u).  That equals exp_from_uniform's
         -mean * log(u) bit for bit (both round |mean * log u| and agree in
         sign), so unit-mean cells need no multiply at all."""
         p = self.params
         if j == 0:
-            i = np.arange(i_lo, i_lo + w.shape[1])
+            i = np.arange(i_lo, i_lo + w.shape[0])[:, None]
             means = np.where(i == 0, p.origin_mean, p.bottom_mean)
             if p.kind is ModelKind.BernoulliDomain:
                 means = np.broadcast_to(means, w.shape).copy()
-                means[(i[None, :] <= self.zeta_plus[:, None]) & (i[None, :] > 0)] = 0.0
+                means[(i <= self.zeta_plus[None, :]) & (i > 0)] = 0.0
             w *= means
         elif i_lo == 0:
             left = np.full(len(self.keys), p.left_mean)
             if p.kind is ModelKind.BernoulliDomain:
                 left[j <= self.zeta_minus] = 0.0
-            w[:, 0] *= left
+            w[0] *= left
         return w

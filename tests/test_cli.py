@@ -55,6 +55,10 @@ def test_unknown_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"bogus": 1}))
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "report.json").exists()  # no partial output
+    # simulate-lpp has no thread count to set
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert run_cli(["simulate-lpp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_bad_type_rejected(tmp_path):

@@ -4,13 +4,14 @@ import pytest
 from stasep.errors import DomainError, RefusalError
 from stasep.lpp import (
     BRUTE_FORCE_CAP,
+    _sweep,
     brute_force_last_passage,
     last_passage,
     last_passage_batch,
     last_passage_point_to_point,
 )
 from stasep.rng import SeedSpec
-from stasep.weights import ModelParams, WeightOracle
+from stasep.weights import HASH_BLOCK_CELLS, ModelParams, WeightOracle
 
 
 class ConstantField:
@@ -84,17 +85,25 @@ def test_origin_decomposition_exact():
         assert g == max(q10, q01)
 
 
-def test_scan_path_agrees_with_serial():
-    # the vectorized sweep re-associates sums; agreement to a few ulps
-    from stasep.lpp import _check_points, _sweep_scan, _sweep_serial
-
-    for trial in range(60):
-        orc = WeightOracle(ModelParams.two_sided(0.6), SeedSpec(13, trial))
-        pts = _check_points([(40, 30), (11, 30), (40, 6)])
-        a = _sweep_serial(orc, pts)
-        b = _sweep_scan(orc, pts)
-        for p in a:
-            assert a[p] == pytest.approx(b[p], rel=1e-12)
+def test_batch_equals_single_on_large_grids():
+    # batch and single-sample sweeps run one kernel: equal bit for bit for
+    # every model, on 60 samples at 41 x 31 and on two of over 20 000
+    # cells, rows in 2 hash blocks
+    n = 200
+    assert HASH_BLOCK_CELLS // n < 171
+    pts = [(170, 120), (40, 30), (11, 30), (40, 6)]
+    for p in (
+        ModelParams.two_sided(0.6),
+        ModelParams.bernoulli_domain(0.6),
+        ModelParams.shifted_plus(0.2, 0.1),
+        ModelParams.shifted_zero(0.2, 0.1),
+        ModelParams.no_source(0.6),
+    ):
+        batch = last_passage_batch(p, 13, range(n), pts)
+        for k in list(range(60)) + [n - 1]:
+            q = pts if k in (0, n - 1) else pts[1:]
+            ref = last_passage(WeightOracle(p, SeedSpec(13, k)), q).values
+            assert [batch[k, pts.index(r)] for r in q] == [ref[r] for r in q]
 
 
 def test_batch_matches_single():
@@ -103,8 +112,17 @@ def test_batch_matches_single():
     for k in range(6):
         orc = WeightOracle(ModelParams.two_sided(0.5), SeedSpec(321, k))
         res = last_passage(orc, pts).values
-        assert vals[k, 0] == pytest.approx(res[(30, 25)], rel=1e-12)
-        assert vals[k, 1] == pytest.approx(res[(10, 20)], rel=1e-12)
+        assert vals[k, 0] == res[(30, 25)]
+        assert vals[k, 1] == res[(10, 20)]
+
+
+def test_sweep_domain_checks():
+    # a staircase domain: G = 0 off it, first cell of a row takes w + below
+    ones = lambda j, lo, hi: np.ones((hi - lo + 1, 1))
+    assert _sweep(ones, [2, 0], [3, 3], 1, [(3, 0), (0, 1), (3, 1)])[:, 0].tolist() == [2.0, 1.0, 4.0]
+    for starts, stops in (([0, 1], [3, 3]), ([0, 0], [2, 3]), ([-1, -1], [3, 3])):
+        with pytest.raises(DomainError):
+            _sweep(ones, starts, stops, 1, [(2, 1)])
 
 
 def test_point_set_validation():
@@ -138,11 +156,8 @@ def test_bernoulli_domain_coupled_below_two_sided():
 
 def test_batch_layouts_agree_bitwise():
     # a batch of 200 samples sweeps each long row in 2 hash blocks, one of 50
-    # in 1; both equal the single-sample scan sweep bit for bit, row
-    # truncation included
-    from stasep.lpp import _check_points, _sweep_scan
-    from stasep.weights import HASH_BLOCK_CELLS
-
+    # in 1; both equal the single-sample sweep bit for bit, row truncation
+    # included
     n = 200
     assert HASH_BLOCK_CELLS // n < 171 <= HASH_BLOCK_CELLS // 50
     pts = [(170, 3), (20, 9), (5, 12), (20, 9)]
@@ -155,5 +170,5 @@ def test_batch_layouts_agree_bitwise():
         assert np.array_equal(big, small)
         assert np.array_equal(big[:, 1], big[:, 3])
         for k in (0, 133, n - 1):
-            ref = _sweep_scan(WeightOracle(p, SeedSpec(77, k)), _check_points(pts))
+            ref = last_passage(WeightOracle(p, SeedSpec(77, k)), pts).values
             assert [big[k, c] for c in range(4)] == [ref[tuple(q)] for q in pts]

@@ -83,6 +83,11 @@ def test_airy_domain_guard():
         airy_ai(-41.0)
     with pytest.raises(DomainError):
         airy_ai(np.array([0.0, 201.0]))
+    # NaN is rejected too, not left as an unwritten output slot
+    with pytest.raises(DomainError):
+        airy_ai(np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(DomainError):
+        airy_ai(float("nan"))
 
 
 def test_airy_ode_residual():

@@ -7,6 +7,7 @@ from stasep.rng import SeedSpec
 from stasep.tasep import (
     TasepState,
     WaitingTimes,
+    bernoulli_occupation,
     evolve,
     init_stationary,
     lpp_bridge_check,
@@ -109,6 +110,18 @@ def test_bridge_small_cases():
         rep = lpp_bridge_check(2024, x * 100 + y, x, y, _grid_for(x, y))
         assert rep.ok, rep.witness
         assert rep.exit_time is None or rep.exit_time == rep.l_value
+
+
+def test_bridge_negative_row_starts():
+    # row y of the DP staircase starts at x_y(0) + y + 1, below 0 whenever
+    # the y particles left of site 0 leave gaps; L still equals the exit time
+    x, y = 6, 5
+    occ = bernoulli_occupation(SeedSpec(2024, 1), -200, -1, 0.5)
+    x_y0 = -1 - int(np.flatnonzero(occ[::-1])[y - 1])  # y-th particle left of 0
+    assert x_y0 + y + 1 < 0
+    rep = lpp_bridge_check(2024, 1, x, y, _grid_for(x, y))
+    assert rep.ok, rep.witness
+    assert rep.exit_time is not None and rep.exit_time == rep.l_value
 
 
 def test_bridge_random_batch():
