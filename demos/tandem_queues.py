@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Burke's theorem in a tandem of exponential servers.
 
-In equilibrium (Poisson(rho) arrivals, Geom*(1-rho) initial queue
-lengths), the departure stream of every queue is again Poisson(rho), and
-each queue length keeps its geometric law for all time.
+In equilibrium (Poisson(rho) arrivals, initial queue lengths iid with the
+M/M/1 stationary law P(L = k) = (1-rho) rho^k), the departure stream of
+every queue is again Poisson(rho), and each queue length keeps its
+geometric law for all time.
 """
 
 import numpy as np
@@ -26,6 +27,6 @@ for rep in range(1, 3001):
     l, _ = tandem_queue_sim(rho, 1, 5.0, SeedSpec(4, rep))
     lens.append(l[0])
 lens = np.array(lens)
-print("\nqueue length at t=5 across replicas vs Geom*(1-rho):")
+print("\nqueue length at t=5 across replicas vs (1-rho) rho^k:")
 for k in range(5):
-    print(f"  P(len={k}) = {np.mean(lens == k):.4f}   (exact {rho * (1-rho)**k:.4f})")
+    print(f"  P(len={k}) = {np.mean(lens == k):.4f}   (exact {(1-rho) * rho**k:.4f})")

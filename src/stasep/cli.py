@@ -126,7 +126,10 @@ def load_config(subcommand: str, path):
 
 
 def config_hash(cfg) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    """Hash of the settings that determine the results; `threads` only
+    spreads the same work over processes, so it is left out."""
+    kept = {k: v for k, v in cfg.items() if k != "threads"}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def provenance_lines(subcommand, cfg):

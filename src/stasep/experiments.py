@@ -317,14 +317,15 @@ def tandem_queue_sim(
     equilibrium_start: bool = True,
 ):
     """FCFS tandem of Exp(1) servers fed by a Poisson(rho) stream, started
-    from iid Geom*(1-rho) queue lengths.  Returns (final_lengths,
-    departure times per queue)."""
+    from iid queue lengths with the M/M/1 stationary law
+    P(L = k) = (1-rho) rho^k.  Returns (final_lengths, departure times per
+    queue)."""
     if not 0.0 < rho < 1.0:
         raise ParameterError("rho must be in (0,1)")
     lengths = []
     for q in range(n_queues):
         if equilibrium_start:
-            lengths.append(sample_geom(CounterStream(seed, TAG_QUEUE_LEN, lane=q), 1.0 - rho))
+            lengths.append(sample_geom(CounterStream(seed, TAG_QUEUE_LEN, lane=q), rho))
         else:
             lengths.append(0)
     srv_streams = [CounterStream(seed, TAG_QUEUE_SRV, lane=q) for q in range(n_queues)]
@@ -369,7 +370,7 @@ def burke_validate(
 ) -> ValidationReport:
     """Burke's theorem in equilibrium: inter-departure gaps from the last
     queue are iid Exp(1/rho) (KS), and the queue-length marginal at a fixed
-    time stays Geom*(1-rho) (chi-square)."""
+    time stays (1-rho) rho^k (chi-square)."""
     t0 = time.time()
     t_end = 1.25 * n_departures / rho
     _, deps = tandem_queue_sim(rho, n_queues, t_end, SeedSpec(master_seed, 0))
@@ -388,7 +389,7 @@ def burke_validate(
     lens = np.array(lens)
     kmax = 8
     obs = np.array([np.sum(lens == k) for k in range(kmax)] + [np.sum(lens >= kmax)])
-    probs = np.array([rho * (1 - rho) ** k for k in range(kmax)] + [(1 - rho) ** kmax])
+    probs = np.array([(1 - rho) * rho**k for k in range(kmax)] + [rho**kmax])
     chi = stats.chisquare(obs, n_replicas * probs)
 
     # Poisson count sanity on the last queue

@@ -1,14 +1,18 @@
 """Last-passage dynamic programming with multi-point extraction.
 
 G(x, y) = max over up-right paths (0,0) -> (x,y) of the path weight sum.
-One kernel, _sweep, runs the exact recursion G = w + max(left, below) row
-by row over a staircase domain, vectorized across independent weight
-fields (lanes): one lane for a single sample, the samples of a batch, or a
-TASEP bridge instance.  Every DP value equals the sequentially-rounded sum
-along some path, which makes it bit-exact against the enumeration oracle
-(float addition is commutative and rounding is monotone, so the max
-survives each +w step), and makes batch and single-sample results equal
-bit for bit.  Ties in the max do not affect DP values.
+One kernel, _sweep, runs the exact recursion G = w + max(left, below) one
+anti-diagonal at a time over a staircase domain: every cell of diagonal
+i + j = d reads only diagonal d - 1, so a whole diagonal is one array op,
+vectorized across independent weight fields (lanes) as well: one lane for
+a single sample, the samples of a batch, or a TASEP bridge instance.  The
+counter RNG gives O(1) access to any cell, so weights are fetched in
+hash-sized groups of cells in sweep order.  Every DP value equals the
+sequentially-rounded sum along some path, which makes it bit-exact against
+the enumeration oracle (float addition is commutative and rounding is
+monotone, so the max survives each +w step), and makes batch and
+single-sample results equal bit for bit.  Ties in the max do not affect DP
+values.
 """
 
 from dataclasses import dataclass
@@ -44,39 +48,81 @@ class PassageResult:
     sample_index: int
 
 
-def _sweep(row_weights, starts, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarray:
-    """G(i, j) = w(i, j) + max(G(i-1, j), G(i, j-1)) for rows j = 0, 1, ...
-    over the domain {starts[j] <= i <= stops[j]}, G = 0 off it, for `lanes`
-    weight fields at once; returns G at the wanted (i, j), shape
-    (len(wanted), lanes).
+def _diagonal_runs(starts, stops, d_max: int) -> List[Tuple[int, int, int]]:
+    """The sweep's runs (d, a, b): rows a..b-1 of diagonal d lie in the
+    domain, for diagonals 0..d_max in order and runs of consecutive rows
+    from the bottom up."""
+    rows = np.arange(len(starts))
+    first, last = rows + starts, rows + stops  # row j covers diagonals first[j]..last[j]
+    diags = np.arange(d_max + 1)
+    # the rows covering d lie in lo[d]..hi[d]-1 (the first row ending at or
+    # after d, up to the last one starting at or before it), and there are
+    # n_in[d] of them: all of that hull unless a row is out in between
+    lo = np.searchsorted(np.maximum.accumulate(last), diags, side="left")
+    hi = np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], diags, side="right")
+    n_in = np.searchsorted(np.sort(first), diags, side="right") - np.searchsorted(
+        np.sort(last), diags, side="left"
+    )
+    runs = []
+    for d, a, b, n in zip(diags.tolist(), lo.tolist(), hi.tolist(), n_in.tolist()):
+        if n < b - a:
+            inside = (first[a:b] <= d) & (last[a:b] >= d)
+            edges = (np.flatnonzero(np.diff(inside, prepend=False, append=False)) + a).tolist()
+            runs.extend((d, ea, eb) for ea, eb in zip(edges[::2], edges[1::2]))
+        elif n:
+            runs.append((d, a, b))
+    return runs
 
-    row_weights(j, lo, hi) gives w(lo..hi, j) as a (cells, lanes) array and
-    is asked for blocks of HASH_BLOCK_CELLS // lanes cells.  Nonincreasing
-    starts and stops make every cell's lower neighbour either computed or
-    never written (zero), and the first cell of each row takes w + below.
+
+def _sweep(cell_weights, starts, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarray:
+    """G(i, j) = w(i, j) + max(G(i-1, j), G(i, j-1)) over the domain
+    {starts[j] <= i <= stops[j]}, G = 0 off it, for `lanes` weight fields at
+    once; returns G at the wanted (i, j), shape (len(wanted), lanes).
+
+    Diagonal d is swept run by run (_diagonal_runs), each one array op.  G
+    of row j sits in g[d % 2][j + 1], which is 0 until the row's first
+    cell: with nonincreasing starts and stops, every neighbour an in-domain
+    cell reads, in g[(d - 1) % 2], is either on diagonal d - 1 or off the
+    domain.  The weights do not depend on G, so cell_weights(i, j), giving
+    w at the cells (i[k], j[k]) of 1-D index arrays as a (cells, lanes)
+    array, is asked for HASH_BLOCK_CELLS // lanes cells at a time, in sweep
+    order: short diagonals share a call, and a run may span two.
     """
     starts, stops = [int(a) for a in starts], [int(b) for b in stops]
     if min(starts) < 0 or any(
         a < b for bounds in (starts, stops) for a, b in zip(bounds, bounds[1:])
     ):
         raise DomainError("row starts must be nonnegative, starts and stops nonincreasing")
-    by_row: Dict[int, List[Tuple[int, int]]] = {}
+    by_diag: Dict[int, List[Tuple[int, int]]] = {}
     for k, (i, j) in enumerate(wanted):
-        by_row.setdefault(j, []).append((k, i))
-    out = np.empty((len(wanted), lanes))
-    cells = list(np.zeros((max(stops[0] + 1, 0), lanes)))  # G by column, rolling over rows
+        by_diag.setdefault(i + j, []).append((k, j))
+    runs = _diagonal_runs(starts, stops, max(by_diag))
+    # every run's cells in sweep order: run k holds cells at[k]..at[k+1]-1
+    d, lo, hi = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    size = hi - lo
+    at = np.concatenate(([0], np.cumsum(size)))
+    jj = np.arange(at[-1]) - np.repeat(at[:-1] - lo, size)
+    ii = np.repeat(d, size) - jj
+    at = at.tolist()
     step = max(1, HASH_BLOCK_CELLS // max(lanes, 1))
-    for j, (lo, hi) in enumerate(zip(starts, stops)):
-        left = None
-        for a in range(lo, hi + 1, step):
-            w = row_weights(j, a, min(a + step, hi + 1) - 1)
-            for g, wg in zip(cells[a : a + step], w):
-                if left is not None:
-                    np.maximum(left, g, out=g)
-                g += wg
-                left = g
-        for k, i in by_row.get(j, ()):
-            out[k] = cells[i]
+    out = np.empty((len(wanted), lanes))
+    g = np.zeros((2, len(starts) + 1, lanes))  # g[0] pads row j = -1
+    base = end = 0  # w holds the weights of cells base..end-1
+    for k, (dk, a, b) in enumerate(runs):
+        old, new = g[(dk - 1) % 2], g[dk % 2]
+        c = at[k]
+        while c < at[k + 1]:
+            if c == end:
+                base, end = c, min(c + step, at[-1])
+                w = cell_weights(ii[base:end], jj[base:end])
+            e = min(at[k + 1], end)
+            ra, rb = a + c - at[k], a + e - at[k]  # rows of cells c..e-1
+            np.maximum(old[ra + 1 : rb + 1], old[ra:rb], out=new[ra + 1 : rb + 1])
+            new[ra + 1 : rb + 1] += w[c - base : e - base]
+            c = e
+        if k + 1 == len(runs) or runs[k + 1][0] != dk:
+            for kw, j in by_diag.get(dk, ()):
+                out[kw] = new[j + 1]
     return out
 
 
@@ -96,10 +142,7 @@ def last_passage(oracle: WeightOracle, points: Sequence[Point]) -> PassageResult
     """Passage times to every requested point, captured in one sweep."""
     pts = _check_points(points)
     reach = _row_reach(pts)
-    g = _sweep(
-        lambda j, lo, hi: oracle.row_weights(j, hi)[lo:, None],
-        [0] * len(reach), reach, 1, pts,
-    )
+    g = _sweep(oracle.cell_weights, [0] * len(reach), reach, 1, pts)
     vals = {p: float(v[0]) for p, v in zip(pts, g)}
     return PassageResult(values=vals, sample_index=oracle.seed.sample_index)
 
@@ -114,13 +157,12 @@ def last_passage_batch(
     single-sample last_passage values.
 
     Returns shape (n_samples, n_points), column order following `points`.
-    Weights come in (cells, samples) blocks from BatchWeights.row_t.
+    Weights come in (cells, samples) blocks from BatchWeights.cells.
     """
     reach = _row_reach(_check_points(points))
     bw = BatchWeights(params, master_seed, sample_indices)
     g = _sweep(
-        lambda j, lo, hi: bw.row_t(j, hi, lo),
-        [0] * len(reach), reach, len(bw.keys),
+        bw.cells, [0] * len(reach), reach, len(bw.keys),
         [(int(p[0]), int(p[1])) for p in points],
     )
     return g.T
@@ -138,7 +180,7 @@ def last_passage_point_to_point(
         raise DomainError(f"start {frm} not componentwise <= end {to}")
     rows = ty - fy + 1
     g = _sweep(
-        lambda r, lo, hi: oracle.row_weights(fy + r, hi)[lo:, None],
+        lambda i, r: oracle.cell_weights(i, r + fy),
         [fx] * rows, [tx] * rows, 1, [(tx, rows - 1)],
     )
     return float(g[0, 0])

@@ -22,6 +22,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _PHI_INT, _M1_INT, _M2_INT = int(_PHI), int(_M1), int(_M2)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MIX_STEPS = ((_U64(30), _M1), (_U64(27), _M2), (_U64(31), None))
 
 # counter layout: [tag:4][j:30][i:30]
 _INDEX_BITS = 30
@@ -50,8 +51,8 @@ def _mix64_int(z: int) -> int:
 def _mix64_inplace(z: np.ndarray, t: np.ndarray) -> None:
     """_mix64_int overwriting the uint64 array z, with t as same-shape
     scratch (array arithmetic wraps silently)."""
-    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
-        np.right_shift(z, _U64(shift), out=t)
+    for shift, mult in _MIX_STEPS:
+        np.right_shift(z, shift, out=t)
         z ^= t
         if mult is not None:
             z *= mult
@@ -72,28 +73,31 @@ def stream_key(master_seed: int, sample_index):
 
 
 def counter_hash(key, tag: int, i, j):
-    """Raw 64-bit output for cells (i, j) in lane `tag`.  i and j may be
-    numpy integer arrays (broadcast); both must lie in [0, 2**30)."""
+    """Raw 64-bit output for cells (i, j) in lane `tag`.  key, i and j may be
+    numpy integer arrays (broadcast); i and j must lie in [0, 2**30).
+
+    All-scalar arguments take exact Python-int arithmetic; arrays wrap
+    silently, so no call needs an error-state guard."""
     if not 0 <= tag < _TAG_CAP:
         raise DomainError(f"tag {tag} outside [0, {_TAG_CAP})")
-    if (
-        isinstance(key, (int, np.integer))
-        and isinstance(i, (int, np.integer))
-        and isinstance(j, (int, np.integer))
-        and 0 <= i < _INDEX_CAP
-        and 0 <= j < _INDEX_CAP
-    ):
-        c = (tag << 60) | (int(j) << _INDEX_BITS) | int(i)
+    if np.ndim(key) == 0 and np.ndim(i) == 0 and np.ndim(j) == 0:
+        i, j = int(i), int(j)
+        if not (0 <= i < _INDEX_CAP and 0 <= j < _INDEX_CAP):
+            raise DomainError("lattice index exceeds 2**30 counter capacity")
+        c = (tag << 60) | (j << _INDEX_BITS) | i
         return _U64(_mix64_int(_mix64_int((c + int(key) * _PHI_INT) & _MASK64)))
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)
-    if i.size and (int(i.max()) >= _INDEX_CAP or int(j.max()) >= _INDEX_CAP):
+    if i.size and j.size and max(i.max(), j.max()) >= _INDEX_CAP:
         raise DomainError("lattice index exceeds 2**30 counter capacity")
-    with np.errstate(over="ignore"):
-        c = (_U64(tag) << _U64(60)) | (j << _U64(_INDEX_BITS)) | i
-        z = np.asarray(np.add(c, _U64(key) * _PHI), dtype=np.uint64)
-    if z.ndim == 0:
-        return _U64(_mix64_int(_mix64_int(int(z))))
+    c = (j << _U64(_INDEX_BITS)) | i
+    if tag:
+        c |= _U64(tag << 60)
+    if np.ndim(key):
+        kphi = np.asarray(key, dtype=np.uint64) * _PHI
+    else:
+        kphi = _U64((int(key) * _PHI_INT) & _MASK64)
+    z = c + kphi
     # the field arrays are large: hash in place, one scratch buffer
     t = np.empty_like(z)
     _mix64_inplace(z, t)
@@ -109,7 +113,8 @@ def uniform_oc(key, tag: int, i, j, out=None):
         return np.float64(((int(h) >> 11) + 1) * 2.0 ** -53)
     h >>= _U64(11)
     h += _U64(1)
-    return np.multiply(h, 2.0 ** -53, out=out)
+    # (h >> 11) + 1 <= 2**53 converts exactly, and faster from int64
+    return np.multiply(h.view(np.int64), 2.0 ** -53, out=out)
 
 
 def exp_from_uniform(u, mean):
@@ -175,9 +180,9 @@ def sample_exp_many(stream: CounterStream, mean: float, n: int) -> np.ndarray:
 
 
 def sample_geom(stream: CounterStream, q: float) -> int:
-    """One draw with P(X = k) = (1-q) q^k, k >= 0.  Note the starred
-    convention Geom*(1-rho) used for queue lengths is the same law with
-    q = 1-rho, i.e. P(X = k) = rho (1-rho)^k."""
+    """One draw with P(X = k) = (1-q) q^k, k >= 0.  The stationary length
+    of an M/M/1 queue with arrival rate rho and unit service rate is the
+    case q = rho."""
     if not 0 <= q < 1:
         raise ParameterError(f"geometric parameter must be in [0,1), got {q}")
     if q == 0.0:

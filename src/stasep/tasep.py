@@ -394,7 +394,7 @@ def lpp_bridge_check(
     clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1)
     l_xy = float(
         _sweep(
-            lambda r, lo, hi: clocks[r, lo : hi + 1, None],
+            lambda i, r: clocks[r, i, None],
             starts - i0, [x - i0] * len(js), 1, [(x - i0, len(js) - 1)],
         )[0, 0]
     )

@@ -27,14 +27,13 @@ from .rng import (
     TAG_ZETA,
     CounterStream,
     SeedSpec,
-    exp_from_uniform,
     sample_geom,
     stream_key,
     uniform_oc,
 )
 
 
-HASH_BLOCK_CELLS = 32_768  # cells per uniform_oc call in BatchWeights and per block in lpp._sweep
+HASH_BLOCK_CELLS = 32_768  # cells x lanes per BatchWeights.cells call in lpp._sweep
 
 
 class ModelKind(Enum):
@@ -121,69 +120,47 @@ def _sample_zetas(params: ModelParams, seed: SeedSpec):
 
 @dataclass(frozen=True)
 class WeightOracle:
-    """Deterministic map (i, j) -> weight for one sample of one model."""
+    """Deterministic map (i, j) -> weight for one sample of one model: a
+    one-lane BatchWeights."""
 
     params: ModelParams
     seed: SeedSpec
     zeta_plus: int = field(init=False, default=0)
     zeta_minus: int = field(init=False, default=0)
+    _lane: "BatchWeights" = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.params.kind is ModelKind.BernoulliDomain:
-            zp, zm = _sample_zetas(self.params, self.seed)
-            object.__setattr__(self, "zeta_plus", zp)
-            object.__setattr__(self, "zeta_minus", zm)
-
-    def mean_at(self, i: int, j: int) -> float:
-        if i < 0 or j < 0:
-            raise DomainError(f"negative lattice index ({i}, {j})")
-        p = self.params
-        if i == 0 and j == 0:
-            return p.origin_mean
-        if j == 0:
-            if p.kind is ModelKind.BernoulliDomain and i <= self.zeta_plus:
-                return 0.0
-            return p.bottom_mean
-        if i == 0:
-            if p.kind is ModelKind.BernoulliDomain and j <= self.zeta_minus:
-                return 0.0
-            return p.left_mean
-        return 1.0
+        lane = BatchWeights(self.params, self.seed.master_seed, [self.seed.sample_index])
+        object.__setattr__(self, "_lane", lane)
+        object.__setattr__(self, "zeta_plus", int(lane.zeta_plus[0]))
+        object.__setattr__(self, "zeta_minus", int(lane.zeta_minus[0]))
 
     def weight_at(self, i: int, j: int) -> float:
-        mean = self.mean_at(i, j)  # validates the indices
-        u = uniform_oc(self.seed.key, TAG_FIELD, i, j)
-        return float(exp_from_uniform(u, mean))
+        """w(i, j) by the scalar hash, with the operations of cells."""
+        if i < 0 or j < 0:
+            raise DomainError(f"negative lattice index ({i}, {j})")
+        w = -np.log(uniform_oc(self._lane.keys[0], TAG_FIELD, i, j))
+        if i == 0 or j == 0:
+            w *= self._lane._border_means(np.array([[i]]), np.array([[j]]))[0, 0]
+        return float(w)
 
     def row_weights(self, j: int, imax: int) -> np.ndarray:
         """Weights w(0..imax, j) as one vector; bitwise equal to weight_at."""
         if j < 0 or imax < 0:
             raise DomainError("negative lattice index")
-        i = np.arange(imax + 1)
-        u = uniform_oc(self.seed.key, TAG_FIELD, i, j)
-        return exp_from_uniform(u, self._row_means(j, imax))
+        return self._lane.row_t(j, imax)[:, 0]
 
-    def _row_means(self, j, imax):
-        p = self.params
-        means = np.ones(imax + 1)
-        if j == 0:
-            means[:] = p.bottom_mean
-            if p.kind is ModelKind.BernoulliDomain:
-                means[1 : self.zeta_plus + 1] = 0.0
-            means[0] = p.origin_mean
-        else:
-            means[0] = p.left_mean
-            if p.kind is ModelKind.BernoulliDomain and j <= self.zeta_minus:
-                means[0] = 0.0
-        return means
+    def cell_weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Weights at cells (i[k], j[k]) as a (cells, 1) column."""
+        return self._lane.cells(i, j)
 
 
 class BatchWeights:
-    """Row generator for a batch of samples (vectorized across samples).
+    """Weight generator for a batch of samples (vectorized across samples).
 
-    row_t(j, imax) returns shape (imax+1, n_samples), bit-identical to the
-    corresponding per-sample WeightOracle rows; row(j, imax) is its
-    transpose.
+    cells(i, j) returns w at the cells (i[k], j[k]) as shape (cells,
+    n_samples); row_t(j, imax) is row j's cells in that layout and row(j,
+    imax) its transpose.  All are bit-identical to the per-sample weights.
     """
 
     def __init__(self, params: ModelParams, master_seed: int, sample_indices):
@@ -207,39 +184,32 @@ class BatchWeights:
 
     def row_t(self, j: int, imax: int, i_lo: int = 0) -> np.ndarray:
         """Cells i_lo..imax of row j, shape (imax+1-i_lo, n_samples)."""
-        return self._to_weights(self._neg_log_uniforms(j, i_lo, imax), j, i_lo)
-
-    def _neg_log_uniforms(self, j: int, i_lo: int, imax: int) -> np.ndarray:
-        """-log u over cells (i_lo..imax, j) of every sample, as (cells,
-        samples), hashed in blocks of about HASH_BLOCK_CELLS so that the
-        hash's scratch arrays stay in cache."""
         i = np.arange(i_lo, imax + 1)
-        keys = self.keys
-        w = np.empty((len(i), len(keys)))
-        step = max(1, HASH_BLOCK_CELLS // max(len(keys), 1))
-        for a in range(0, len(i), step):
-            block = w[a : a + step]
-            uniform_oc(keys[None, :], TAG_FIELD, i[a : a + step, None], j, out=block)
-            np.log(block, out=block)
-            np.negative(block, out=block)
+        return self.cells(i, np.full_like(i, j))
+
+    def cells(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """w(i[k], j[k]) for every sample, shape (len(i), n_samples): -log u,
+        scaled in place on the border cells to mean * (-log u).  That equals
+        exp_from_uniform's -mean * log(u) bit for bit (both round
+        |mean * log u| and agree in sign), so unit-mean cells need no
+        multiply at all."""
+        w = np.empty((len(i), len(self.keys)))
+        uniform_oc(self.keys, TAG_FIELD, i[:, None], j[:, None], out=w)
+        np.log(w, out=w)
+        np.negative(w, out=w)
+        border = np.flatnonzero((i == 0) | (j == 0))
+        if border.size:
+            w[border] *= self._border_means(i[border, None], j[border, None])
         return w
 
-    def _to_weights(self, w: np.ndarray, j: int, i_lo: int) -> np.ndarray:
-        """Scale w = -log u over cells i_lo.. (cells x samples) in place to
-        the weights mean * (-log u).  That equals exp_from_uniform's
-        -mean * log(u) bit for bit (both round |mean * log u| and agree in
-        sign), so unit-mean cells need no multiply at all."""
+    def _border_means(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Weight means at border cells (i[k], j[k]) with i or j zero, per
+        sample; i and j are (cells, 1) columns."""
         p = self.params
-        if j == 0:
-            i = np.arange(i_lo, i_lo + w.shape[0])[:, None]
-            means = np.where(i == 0, p.origin_mean, p.bottom_mean)
-            if p.kind is ModelKind.BernoulliDomain:
-                means = np.broadcast_to(means, w.shape).copy()
-                means[(i <= self.zeta_plus[None, :]) & (i > 0)] = 0.0
-            w *= means
-        elif i_lo == 0:
-            left = np.full(len(self.keys), p.left_mean)
-            if p.kind is ModelKind.BernoulliDomain:
-                left[j <= self.zeta_minus] = 0.0
-            w[0] *= left
-        return w
+        means = np.where(j == 0, p.bottom_mean, p.left_mean)
+        means = np.where(i == j, p.origin_mean, means)
+        if p.kind is ModelKind.BernoulliDomain:
+            # the first zeta_plus bottom and zeta_minus left cells are empty
+            off = ((j == 0) & (i <= self.zeta_plus)) | ((i == 0) & (j <= self.zeta_minus))
+            means = np.where(off & (i != j), 0.0, means)
+        return means

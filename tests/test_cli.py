@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stasep.cli import main
+from stasep.cli import config_hash, load_config, main
 
 
 def run_cli(args):
@@ -59,6 +59,19 @@ def test_unknown_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"threads": 2}))
     assert run_cli(["simulate-lpp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "samples.csv").exists()
+
+
+def test_threads_left_out_of_config_hash(monkeypatch):
+    # threads spreads the same samples over processes: THREADS=1 and
+    # THREADS=2 name the same results, so they share one hash
+    hashes = {}
+    for n in ("1", "2"):
+        monkeypatch.setenv("THREADS", n)
+        cfg = load_config("compare", None)
+        assert cfg["threads"] == int(n)
+        hashes[n] = config_hash(cfg)
+    assert hashes["1"] == hashes["2"]
+    assert config_hash({**cfg, "master_seed": 2}) != hashes["1"]
 
 
 def test_bad_type_rejected(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from stasep.errors import ParameterError, RefusalError
 from stasep.experiments import (
+    _batched_g,
     EmpiricalCDF,
     empirical_cdf_joint,
     burke_validate,
@@ -20,6 +21,7 @@ from stasep.experiments import (
 )
 from stasep.rng import SeedSpec
 from stasep.scaling import ScalingFrame
+from stasep.weights import ModelParams
 
 
 def test_empirical_cdf_basics():
@@ -97,6 +99,17 @@ def test_slow_decorrelation_shapes():
         slow_decorrelation_validate(frame, 0.25, 0.25, 1e-9, 0.25, 10, 5)
 
 
+def test_batched_g_same_bits_with_a_pool():
+    # two worker processes split the samples by index: the result equals
+    # the serial one bit for bit
+    params = ModelParams.two_sided(0.5)
+    pts = [(30, 20), (12, 25)]
+    serial = _batched_g(params, 5, 300, pts, batch=64, threads=1)
+    pooled = _batched_g(params, 5, 300, pts, batch=64, threads=2)
+    assert serial.shape == (300, 2)
+    assert np.array_equal(serial, pooled)
+
+
 def test_tandem_queue_sim_counts():
     lengths, deps = tandem_queue_sim(0.5, 2, 400.0, SeedSpec(9, 0))
     n = len(deps[1])
@@ -110,6 +123,14 @@ def test_burke_small():
     rep = burke_validate(0.5, 2000, 21, n_replicas=2000)
     assert rep.passed, rep.extras
     assert abs(rep.extras["p_len0"] - 0.5) < 0.04
+
+
+def test_burke_off_half():
+    # the M/M/1 stationary law (1-rho) rho^k at rho = 0.3: P(L=0) = 0.7; the
+    # default p-threshold 0.01 and the 4-sigma band are fixed in advance
+    rep = burke_validate(0.3, 2000, 21, n_replicas=2000)
+    assert rep.passed, rep.extras
+    assert abs(rep.extras["p_len0"] - 0.7) < 0.04
 
 
 def test_gaussian_coefficients_values():

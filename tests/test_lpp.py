@@ -11,7 +11,7 @@ from stasep.lpp import (
     last_passage_point_to_point,
 )
 from stasep.rng import SeedSpec
-from stasep.weights import HASH_BLOCK_CELLS, ModelParams, WeightOracle
+from stasep.weights import HASH_BLOCK_CELLS, ModelKind, ModelParams, WeightOracle
 
 
 class ConstantField:
@@ -20,8 +20,8 @@ class ConstantField:
     class seed:
         sample_index = 0
 
-    def row_weights(self, j, imax):
-        return np.ones(imax + 1)
+    def cell_weights(self, i, j):
+        return np.ones((len(i), 1))
 
 
 def test_constant_field():
@@ -88,7 +88,7 @@ def test_origin_decomposition_exact():
 def test_batch_equals_single_on_large_grids():
     # batch and single-sample sweeps run one kernel: equal bit for bit for
     # every model, on 60 samples at 41 x 31 and on two of over 20 000
-    # cells, rows in 2 hash blocks
+    # cells, whose weights come 163 cells per hash call
     n = 200
     assert HASH_BLOCK_CELLS // n < 171
     pts = [(170, 120), (40, 30), (11, 30), (40, 6)]
@@ -116,9 +116,52 @@ def test_batch_matches_single():
         assert vals[k, 1] == res[(10, 20)]
 
 
+MODELS = (
+    ModelParams.two_sided(0.6),
+    ModelParams.bernoulli_domain(0.6),
+    ModelParams.shifted_plus(0.2, 0.1),
+    ModelParams.shifted_zero(0.2, 0.1),
+    ModelParams.no_source(0.6),
+)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65, 513])
+def test_batch_equals_single_at_every_lane_count(lanes):
+    # lane counts around 64; at 513 lanes one hash call covers 63 cells, so
+    # the long diagonals of the 71 x 65 grid span two calls.  The ends of
+    # every diagonal are border cells, where the Bernoulli zeta masks apply
+    assert HASH_BLOCK_CELLS // 513 < 65
+    pts = [(70, 64), (9, 33), (40, 2)]
+    checked = range(lanes) if lanes <= 65 else range(0, lanes, 32)
+    for p in MODELS:
+        batch = last_passage_batch(p, 41, range(lanes), pts)
+        assert batch.shape == (lanes, 3)
+        zetas = 0
+        for k in list(checked) + [lanes - 1]:
+            orc = WeightOracle(p, SeedSpec(41, k))
+            ref = last_passage(orc, pts).values
+            assert batch[k].tolist() == [ref[q] for q in pts]
+            zetas += orc.zeta_plus > 0 and orc.zeta_minus > 0
+        if p.kind is ModelKind.BernoulliDomain and lanes > 2:
+            assert zetas > 0
+
+
+def test_noncontiguous_diagonals_equal_enumeration():
+    # on diagonals 3 and 4 the rows swept for {(12,0), (0,3), (2,2)} are not
+    # contiguous: row 0 runs to column 12, rows 1-2 to column 2, row 3 to 0
+    pts = [(12, 0), (0, 3), (2, 2)]
+    for p in MODELS:
+        batch = last_passage_batch(p, 8, range(20), pts)
+        for k in range(20):
+            orc = WeightOracle(p, SeedSpec(8, k))
+            vals = last_passage(orc, pts).values
+            assert [vals[q] for q in pts] == [brute_force_last_passage(orc, q) for q in pts]
+            assert batch[k].tolist() == [vals[q] for q in pts]
+
+
 def test_sweep_domain_checks():
     # a staircase domain: G = 0 off it, first cell of a row takes w + below
-    ones = lambda j, lo, hi: np.ones((hi - lo + 1, 1))
+    ones = lambda i, j: np.ones((len(i), 1))
     assert _sweep(ones, [2, 0], [3, 3], 1, [(3, 0), (0, 1), (3, 1)])[:, 0].tolist() == [2.0, 1.0, 4.0]
     for starts, stops in (([0, 1], [3, 3]), ([0, 0], [2, 3]), ([-1, -1], [3, 3])):
         with pytest.raises(DomainError):
@@ -155,8 +198,8 @@ def test_bernoulli_domain_coupled_below_two_sided():
 
 
 def test_batch_layouts_agree_bitwise():
-    # a batch of 200 samples sweeps each long row in 2 hash blocks, one of 50
-    # in 1; both equal the single-sample sweep bit for bit, row truncation
+    # a batch of 200 samples hashes 163 cells per call, one of 50 hashes 655;
+    # both equal the single-sample sweep bit for bit, row truncation
     # included
     n = 200
     assert HASH_BLOCK_CELLS // n < 171 <= HASH_BLOCK_CELLS // 50
