@@ -1,8 +1,9 @@
 """Stationary TASEP / bordered last-passage percolation workbench.
 
 Simulation side: counter-based random weight fields (rng, weights), a
-rolling-row last-passage engine (lpp), and an event-driven exclusion
-process with the exact pathwise bridge between the two (tasep).
+last-passage kernel swept one anti-diagonal at a time (lpp), and an
+event-driven exclusion process with the exact pathwise bridge between the
+two (tasep).
 
 Analysis side: deterministic scaling maps (scaling), Airy/quadrature
 primitives (specfun), and the multi-point limit law as a block Fredholm

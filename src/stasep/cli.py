@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -28,26 +27,23 @@ from . import __version__
 from .errors import AccuracyError, InvertibilityError, ParameterError, RefusalError
 from .experiments import (
     burke_validate,
+    gaussian_critical_control,
     gaussian_offchar_validate,
-    limit_cdf_table,
+    invertibility_validate,
+    kernel_dual_validate,
     mc_vs_limit,
+    offchar_gammas,
+    pathwise_bridge_validate,
     shift_argument_validate,
-    shift_coupling_max_error,
+    shift_coupling_validate,
+    slow_decorrelation_negative_control,
     slow_decorrelation_validate,
-    ValidationReport,
 )
-from .limitlaw import (
-    MultiPointSpec,
-    QuadratureConfig,
-    airy_convolution_identity,
-    invertibility_guard,
-    khat_dual_check,
-    limit_cdf,
-)
+from .limitlaw import MultiPointSpec, QuadratureConfig, limit_cdf
 from .lpp import last_passage_batch
 from .rng import SeedSpec
 from .scaling import ScalingFrame, rescale_at_point, scale_dpp
-from .tasep import WaitingTimes, evolve, init_stationary, lpp_bridge_check, stationary_window
+from .tasep import WaitingTimes, evolve, init_stationary, stationary_window
 from .weights import ModelParams
 
 _SCHEMAS = {
@@ -228,102 +224,40 @@ def _write_report(outdir: Path, subcommand, cfg, reports):
 
 
 def _validate_battery(cfg):
+    """Yield the validation reports one check at a time."""
     rho = cfg["rho"]
     seed = cfg["master_seed"]
     quick = cfg["quick"]
-    reports = []
-
-    # pathwise bridge
-    t0 = time.time()
-    n_bridge = 300 if quick else 10000
-    rng = np.random.default_rng(seed)
-    fails = 0
-    for k in range(n_bridge):
-        x, y = int(rng.integers(1, 21)), int(rng.integers(1, 21))
-        e_g = x / (1 - rho) + y / rho
-        sd = 2.2 * (x + y) ** (1.0 / 3.0)
-        rep = lpp_bridge_check(seed, k, x, y, np.linspace(0.0, e_g + 6 * sd, 50), rho=rho)
-        fails += 0 if rep.ok else 1
-    reports.append(ValidationReport(
-        name="pathwise-bridge", statistic=float(fails), threshold=0.0,
-        passed=fails == 0, runtime_s=time.time() - t0, master_seed=seed,
-        config={"instances": n_bridge},
-    ))
-
-    # kernel dual representation + convolution identity
-    t0 = time.time()
-    worst = 0.0
-    for ti, tj in ((1.0, 0.0), (2.0, -1.0), (0.5, -0.5)):
-        spec = MultiPointSpec((tj, ti), (0.0, 0.0))
-        for xx in (-1.0, 0.0, 1.0):
-            for yy in (-1.0, 0.0, 1.0):
-                worst = max(worst, khat_dual_check(spec, 2, 1, xx, yy)[2])
-    worst_f = max(
-        airy_convolution_identity(1.0, 0.0, 0.0, 0.0)[2],
-        airy_convolution_identity(1.5, -0.5, 1.0, -1.0)[2],
+    threads = cfg["threads"]
+    yield pathwise_bridge_validate(rho, 300 if quick else 10000, seed)
+    yield kernel_dual_validate(seed)
+    yield invertibility_validate(
+        [MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)), MultiPointSpec((0.0,), (5.0,))], seed
     )
-    reports.append(ValidationReport(
-        name="kernel-dual", statistic=max(worst, worst_f), threshold=1e-8,
-        passed=max(worst, worst_f) <= 1e-8, runtime_s=time.time() - t0,
-        master_seed=seed, config={},
-    ))
-
-    # invertibility guard
-    t0 = time.time()
-    ok1, d1 = invertibility_guard(MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)))
-    ok2, d2 = invertibility_guard(MultiPointSpec((0.0,), (5.0,)))
-    reports.append(ValidationReport(
-        name="invertibility-guard", statistic=float(min(d1["det"], d2["det"])),
-        threshold=0.0, passed=bool(ok1 and ok2), runtime_s=time.time() - t0,
-        master_seed=seed, config={}, extras={"dets": [d1["det"], d2["det"]]},
-    ))
-
-    reports.append(burke_validate(rho, 3000 if quick else 10000, seed))
-
-    n_shift = 10**5 if quick else 10**6
-    reports.append(shift_argument_validate(
-        0.25, 0.25, [(2, 2)], np.arange(2.0, 11.0, 1.0), n_shift, seed,
-        threshold=0.02,
-    ))
-
+    yield burke_validate(rho, 3000 if quick else 10000, seed)
+    yield shift_argument_validate(
+        0.25, 0.25, [(2, 2)], np.arange(2.0, 11.0, 1.0), 10**5 if quick else 10**6, seed
+    )
     frame = ScalingFrame(T=2000.0, rho=rho, nu=0.5)
     n_sd = 500 if quick else 2000
-    reports.append(slow_decorrelation_validate(frame, 0.25, 0.25, 0.1, 0.25, n_sd, seed))
-    neg = slow_decorrelation_validate(
-        frame, 0.25, 0.25, 0.1, 0.10, n_sd, seed, threshold=0.9
-    )
-    # negative control passes when the fraction DROPS below threshold
-    neg.name = "slow-decorrelation-negative-control"
-    neg.passed = neg.statistic < neg.threshold
-    reports.append(neg)
-
-    threads = cfg["threads"]
+    yield slow_decorrelation_validate(frame, 0.25, 0.25, 0.1, 0.25, n_sd, seed)
+    yield slow_decorrelation_negative_control(frame, 0.25, 0.25, 0.1, 0.10, n_sd, seed)
     n_gauss = 1500 if quick else 5000
-    reports.append(gaussian_offchar_validate(rho, 4.0, 2000, n_gauss, seed, threads=threads))
-    reports.append(gaussian_offchar_validate(rho, 0.25, 2000, n_gauss, seed, threads=threads))
-    ctrl = gaussian_offchar_validate(rho, 1.0 + 1e-9, 2000, n_gauss, seed, threads=threads)
-    ctrl.name = "gaussian-critical-control"
-    ctrl.passed = ctrl.statistic > ctrl.threshold  # must FAIL normality
-    reports.append(ctrl)
-
-    # coupling exactness (real-arithmetic identity, float-reassociation bound)
-    t0 = time.time()
-    err = shift_coupling_max_error(0.25, 0.25, (3, 3), 200, seed)
-    reports.append(ValidationReport(
-        name="shift-coupling", statistic=err, threshold=1e-12,
-        passed=err <= 1e-12, runtime_s=time.time() - t0, master_seed=seed,
-        config={},
-    ))
-    return reports
+    above, below, _ = offchar_gammas(rho)
+    yield gaussian_offchar_validate(rho, above, 2000, n_gauss, seed, threads=threads)
+    yield gaussian_offchar_validate(rho, below, 2000, n_gauss, seed, threads=threads)
+    yield gaussian_critical_control(rho, 2000, n_gauss, seed, threads=threads)
+    yield shift_coupling_validate(0.25, 0.25, (3, 3), 200, seed)
 
 
 def cmd_validate(cfg, outdir: Path) -> int:
-    reports = _validate_battery(cfg)
-    _write_report(outdir, "validate", cfg, reports)
-    for rep in reports:
+    reports = []
+    for rep in _validate_battery(cfg):
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.name}: statistic={rep.statistic:.6g} "
-              f"threshold={rep.threshold:g} ({rep.runtime_s:.1f}s)")
+              f"threshold={rep.threshold:g} ({rep.runtime_s:.1f}s)", flush=True)
+        reports.append(rep)
+    _write_report(outdir, "validate", cfg, reports)
     return 0 if all(r.passed for r in reports) else 1
 
 

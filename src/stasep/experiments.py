@@ -1,27 +1,34 @@
-"""Monte Carlo harnesses confronting the simulators with the limit law and
-with the model's exactly-known side results.
+"""Validation harnesses: Monte Carlo confronting the simulators with the
+limit law and with the model's exactly-known side results, plus the exact
+identities (pathwise bridge, kernel dual representation, invertibility
+guard).  Each criterion of `stasep validate` is one function here returning
+a ValidationReport; the acceptance tests call the same functions.
 
 Everything here is deterministic given (parameters, master_seed): sampling
 is counter-based, aggregation is order-independent, and the statistical
 routines (KS, chi-square) are scipy's.  The MC routes deliberately consume
-no special-function code; the only contact point with the limit-law stack
-is through its public evaluator.
+no special-function code; their only contact point with the limit-law stack
+is its public evaluator.
 """
 
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
 from .errors import ParameterError, RefusalError
-from .limitlaw import MultiPointSpec, QuadratureConfig, limit_cdf
+from .limitlaw import (
+    MultiPointSpec, QuadratureConfig, airy_convolution_identity, invertibility_guard,
+    khat_dual_check, limit_cdf,
+)
 from .lpp import last_passage_batch
 from .rng import TAG_QUEUE_ARR, TAG_QUEUE_LEN, TAG_QUEUE_SRV, CounterStream, SeedSpec, sample_geom
 from .scaling import ScalingFrame, characteristic_ratio, rescale_at_point, scale_dpp
+from .tasep import lpp_bridge_check
 from .weights import BatchWeights, ModelParams
 
 
@@ -37,16 +44,7 @@ class ValidationReport:
     extras: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "passed": bool(self.passed),
-            "runtime_s": round(self.runtime_s, 3),
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "extras": self.extras,
-        }
+        return {**asdict(self), "passed": bool(self.passed), "runtime_s": round(self.runtime_s, 3)}
 
 
 class EmpiricalCDF:
@@ -96,6 +94,65 @@ def _batched_g(params, master_seed, n_samples, points, batch=512, sample_offset=
         threads,
     )
     return np.concatenate(parts, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# exact identities
+
+
+def pathwise_bridge_validate(rho: float, n_instances: int, master_seed: int) -> ValidationReport:
+    """lpp_bridge_check on n_instances points (x, y) uniform in {1..20}^2,
+    each on 50 times spanning the mean x/(1-rho) + y/rho plus six
+    fluctuation widths; statistic: the number of instances that fail."""
+    t0 = time.time()
+    rng = np.random.default_rng(master_seed)
+    fails = 0
+    for k in range(n_instances):
+        x, y = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+        e_g = x / (1 - rho) + y / rho
+        sd = 2.2 * (x + y) ** (1.0 / 3.0)
+        rep = lpp_bridge_check(master_seed, k, x, y, np.linspace(0.0, e_g + 6 * sd, 50), rho=rho)
+        fails += 0 if rep.ok else 1
+    return ValidationReport(
+        name="pathwise-bridge", statistic=float(fails), threshold=0.0, passed=fails == 0,
+        runtime_s=time.time() - t0, master_seed=master_seed, config={"instances": n_instances},
+    )
+
+
+def kernel_dual_validate(master_seed: int) -> ValidationReport:
+    """Largest gap of khat_dual_check over three tau-pairs x 9 points and of
+    airy_convolution_identity at two points, against 1e-8.  Deterministic:
+    master_seed is only recorded in the report."""
+    t0 = time.time()
+    worst = 0.0
+    for taus in ((0.0, 1.0), (-1.0, 2.0), (-0.5, 0.5)):
+        spec = MultiPointSpec(taus, (0.0, 0.0))
+        for x in (-1.0, 0.0, 1.0):
+            for y in (-1.0, 0.0, 1.0):
+                worst = max(worst, khat_dual_check(spec, 2, 1, x, y)[2])
+    worst = max(
+        worst,
+        airy_convolution_identity(1.0, 0.0, 0.0, 0.0)[2],
+        airy_convolution_identity(1.5, -0.5, 1.0, -1.0)[2],
+    )
+    return ValidationReport(
+        name="kernel-dual", statistic=worst, threshold=1e-8, passed=worst <= 1e-8,
+        runtime_s=time.time() - t0, master_seed=master_seed,
+    )
+
+
+def invertibility_validate(specs: Sequence[MultiPointSpec], master_seed: int) -> ValidationReport:
+    """invertibility_guard (det(1-D) > 0) on each spec at the default
+    quadrature; statistic: the smallest determinant.  Deterministic:
+    master_seed is only recorded in the report."""
+    t0 = time.time()
+    guards = [invertibility_guard(spec) for spec in specs]
+    dets = [diag["det"] for _, diag in guards]
+    return ValidationReport(
+        name="invertibility-guard", statistic=float(min(dets)), threshold=0.0,
+        passed=all(ok for ok, _ in guards), runtime_s=time.time() - t0,
+        master_seed=master_seed, extras={"dets": dets},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +242,23 @@ def mc_vs_limit(
 # shift argument
 
 
-def shift_coupling_max_error(a: float, b: float, point, n_samples: int, master_seed: int) -> float:
+def shift_coupling_validate(
+    a: float, b: float, point, n_samples: int, master_seed: int
+) -> ValidationReport:
     """max |G+ - G - w00| over shared-randomness samples (zero in exact
     arithmetic, since every up-right path passes the origin; the float
-    path sums differ by a few ulps)."""
+    path sums differ by a few ulps, hence the threshold 1e-12)."""
+    t0 = time.time()
     pts = [tuple(point)]
     plus = ModelParams.shifted_plus(a, b)
     gz = _batched_g(ModelParams.shifted_zero(a, b), master_seed, n_samples, pts)[:, 0]
     gp = _batched_g(plus, master_seed, n_samples, pts)[:, 0]
     w00 = BatchWeights(plus, master_seed, range(n_samples)).row(0, 0)[:, 0]
-    return float(np.max(np.abs(gp - (gz + w00)), initial=0.0))
+    err = float(np.max(np.abs(gp - (gz + w00)), initial=0.0))
+    return ValidationReport(
+        name="shift-coupling", statistic=err, threshold=1e-12, passed=err <= 1e-12,
+        runtime_s=time.time() - t0, master_seed=master_seed,
+    )
 
 
 def shift_argument_validate(
@@ -305,29 +369,28 @@ def slow_decorrelation_validate(
     )
 
 
+def slow_decorrelation_negative_control(
+    frame: ScalingFrame, c1: float, c2: float, theta: float, beta: float,
+    n_samples: int, master_seed: int,
+) -> ValidationReport:
+    """Negative control: with a window T^beta too narrow for the increment's
+    fluctuations the fraction must DROP below 0.9 to pass."""
+    rep = slow_decorrelation_validate(frame, c1, c2, theta, beta, n_samples, master_seed, 0.9)
+    return replace(rep, name="slow-decorrelation-negative-control", passed=rep.statistic < 0.9)
+
+
 # ---------------------------------------------------------------------------
 # tandem queues / Burke
 
 
-def tandem_queue_sim(
-    rho: float,
-    n_queues: int,
-    t_end: float,
-    seed: SeedSpec,
-    equilibrium_start: bool = True,
-):
+def tandem_queue_sim(rho: float, n_queues: int, t_end: float, seed: SeedSpec):
     """FCFS tandem of Exp(1) servers fed by a Poisson(rho) stream, started
     from iid queue lengths with the M/M/1 stationary law
     P(L = k) = (1-rho) rho^k.  Returns (final_lengths, departure times per
     queue)."""
     if not 0.0 < rho < 1.0:
         raise ParameterError("rho must be in (0,1)")
-    lengths = []
-    for q in range(n_queues):
-        if equilibrium_start:
-            lengths.append(sample_geom(CounterStream(seed, TAG_QUEUE_LEN, lane=q), rho))
-        else:
-            lengths.append(0)
+    lengths = [sample_geom(CounterStream(seed, TAG_QUEUE_LEN, lane=q), rho) for q in range(n_queues)]
     srv_streams = [CounterStream(seed, TAG_QUEUE_SRV, lane=q) for q in range(n_queues)]
     arr_stream = CounterStream(seed, TAG_QUEUE_ARR, lane=0)
     departures: List[List[float]] = [[] for _ in range(n_queues)]
@@ -420,29 +483,29 @@ def burke_validate(
 # Gaussian fluctuations off the characteristic direction
 
 
-def gaussian_coefficients(rho: float, gamma: float, reading: str = "symmetric"):
+def offchar_gammas(rho: float) -> Tuple[float, float, float]:
+    """gamma = x/y of the two Gaussian points and of the critical control:
+    4 gamma_c, gamma_c/4 and gamma_c (1 + 1e-9), where gamma_c = (1-rho)^2/rho^2
+    is x/y on the characteristic direction."""
+    gc = 1.0 / characteristic_ratio(rho)
+    return 4.0 * gc, gc / 4.0, gc * (1.0 + 1e-9)
+
+
+def gaussian_coefficients(rho: float, gamma: float):
     """(mean, variance) per unit N for G(x, y) with x = gamma N/(1+gamma),
     y = N/(1+gamma) off the characteristic direction.
 
-    The mean coefficient is the exact stationary law-of-large-numbers value
-    x/(1-rho) + y/rho per unit N (all printed variants agree with it at
-    rho = 1/2).  The variance coefficient for gamma above the critical
-    value carries the two published readings, differing in one factor
-    ('printed' has 1-rho^2 where 'symmetric' has (1-rho)^2); below the
-    critical value the positive-variance ordering of the terms is used.
+    The mean is the exact stationary law-of-large-numbers value
+    x/(1-rho) + y/rho.  The variance is |x/(1-rho)^2 - y/rho^2|
+    (Balazs-Cator-Seppalainen, EJP 11 (2006); Gaussian regime:
+    Ferrari-Fontes, Ann. Probab. 22 (1994)); it vanishes on the
+    characteristic direction x/y = gamma_c, where the fluctuations are KPZ.
     """
-    gc = characteristic_ratio(rho)
+    if gamma == 1.0 / characteristic_ratio(rho):
+        raise RefusalError("gamma equals the critical ratio; that regime is KPZ")
     pref = gamma / (1.0 + gamma)
     mean = pref * (1.0 / (1.0 - rho) + 1.0 / (gamma * rho))
-    if gamma > gc:
-        if reading == "printed":
-            var = pref * (1.0 / rho**2 - 1.0 / (gamma * (1.0 - rho**2)))
-        else:
-            var = pref * (1.0 / rho**2 - 1.0 / (gamma * (1.0 - rho) ** 2))
-    elif gamma < gc:
-        var = pref * (1.0 / (gamma * rho**2) - 1.0 / (1.0 - rho) ** 2)
-    else:
-        raise RefusalError("gamma equals the critical ratio; that regime is KPZ")
+    var = pref * abs(1.0 / (1.0 - rho) ** 2 - 1.0 / (gamma * rho**2))
     if not var > 0:
         raise ParameterError(f"non-positive variance coefficient {var}")
     return mean, var
@@ -454,16 +517,13 @@ def gaussian_offchar_validate(
     n_scale: int,
     n_samples: int,
     master_seed: int,
-    c2_reading: str = "auto",
     threshold: float = 0.05,
     threads: int = 1,
 ) -> ValidationReport:
-    """KS test of standardized G(x, y) against N(0,1) away from the
-    characteristic direction; with c2_reading='auto' the published variance
-    reading closer to the sample variance is selected and reported."""
-    gc = characteristic_ratio(rho)
-    if gamma == gc:
-        raise RefusalError("gamma = gamma_c is the KPZ regime (use mc_vs_limit)")
+    """KS test of G(x, y), centred on its exact mean and standardized by the
+    variance of gaussian_coefficients, against N(0,1) away from the
+    characteristic direction."""
+    _, var = gaussian_coefficients(rho, gamma)
     t0 = time.time()
     N = int(n_scale)
     y = int(round(N / (1.0 + gamma)))
@@ -471,15 +531,6 @@ def gaussian_offchar_validate(
     mu = x / (1.0 - rho) + y / rho  # exact lattice mean
     g = _batched_g(ModelParams.two_sided(rho), master_seed, n_samples, [(x, y)], threads=threads)[:, 0]
     centered = (g - mu) / math.sqrt(N)
-    sample_var = float(centered.var())
-    if gamma > gc and c2_reading == "auto":
-        candidates = {
-            r: gaussian_coefficients(rho, gamma, r)[1] for r in ("printed", "symmetric")
-        }
-        reading = min(candidates, key=lambda r: abs(candidates[r] - sample_var))
-    else:
-        reading = c2_reading if c2_reading != "auto" else "symmetric"
-    _, var = gaussian_coefficients(rho, gamma, reading)
     z = centered / math.sqrt(var)
     ks = stats.kstest(z, "norm")
     return ValidationReport(
@@ -491,13 +542,24 @@ def gaussian_offchar_validate(
         master_seed=master_seed,
         config={"rho": rho, "gamma": gamma, "N": N, "n_samples": n_samples},
         extras={
-            "reading": reading,
             "var_coeff": var,
-            "sample_var": sample_var,
+            "sample_var": float(centered.var()),
             "ks_pvalue": float(ks.pvalue),
             "point": [x, y],
         },
     )
+
+
+def gaussian_critical_control(
+    rho: float, n_scale: int, n_samples: int, master_seed: int, threads: int = 1
+) -> ValidationReport:
+    """Negative control a relative 1e-9 off the characteristic: passes when
+    KS exceeds 0.05.  The variance coefficient there is about 2e-9, so KS
+    reads about 0.5 whatever the law of G: this checks only that it vanishes."""
+    rep = gaussian_offchar_validate(
+        rho, offchar_gammas(rho)[2], n_scale, n_samples, master_seed, 0.05, threads
+    )
+    return replace(rep, name="gaussian-critical-control", passed=rep.statistic > 0.05)
 
 
 # ---------------------------------------------------------------------------

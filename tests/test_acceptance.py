@@ -14,28 +14,30 @@ import pytest
 
 from stasep.experiments import (
     burke_validate,
+    gaussian_critical_control,
     gaussian_offchar_validate,
+    invertibility_validate,
+    kernel_dual_validate,
     limit_cdf_table,
     mc_vs_limit,
+    offchar_gammas,
+    pathwise_bridge_validate,
     shift_argument_validate,
-    shift_coupling_max_error,
+    shift_coupling_validate,
+    slow_decorrelation_negative_control,
     slow_decorrelation_validate,
 )
 from stasep.limitlaw import (
     MultiPointSpec,
     QuadratureConfig,
-    airy_convolution_identity,
     convergence_gap,
     fredholm_det,
-    invertibility_guard,
-    khat_dual_check,
     limit_cdf,
 )
 from stasep.lpp import brute_force_last_passage, last_passage
 from stasep.rng import SeedSpec
 from stasep.scaling import ScalingFrame
 from stasep.specfun import airy_ai, integrate_semiinfinite
-from stasep.tasep import lpp_bridge_check
 from stasep.weights import ModelParams, WeightOracle
 
 mp.mp.dps = 30
@@ -57,22 +59,12 @@ def _report(num, name, passed, detail, t0):
 
 def test_c01_pathwise_bridge():
     t0 = time.time()
-    n_instances = 10**4
-    rng = np.random.default_rng(MASTER)
-    violations = 0
-    for k in range(n_instances):
-        x, y = int(rng.integers(1, 21)), int(rng.integers(1, 21))
-        e_g = 2.0 * (x + y)
-        sd = 2.2 * (x + y) ** (1.0 / 3.0)
-        t_grid = np.linspace(0.0, e_g + 6.0 * sd, 50)
-        rep = lpp_bridge_check(MASTER, k, x, y, t_grid, rho=0.5)
-        if not rep.ok:
-            violations += 1
+    rep = pathwise_bridge_validate(0.5, 10**4, MASTER)
     _report(
         1,
         "pathwise LPP/TASEP/queue/height bridge",
-        violations == 0,
-        f"{violations} violations over {n_instances} instances x 50 times",
+        rep.passed,
+        f"{rep.statistic:.0f} violations over {rep.config['instances']} instances x 50 times",
         t0,
     )
 
@@ -129,18 +121,12 @@ def test_c03_airy_layer():
 
 def test_c04_kernel_dual_representation():
     t0 = time.time()
-    worst = 0.0
-    for tj, ti in ((0.0, 1.0), (-1.0, 2.0), (-0.5, 0.5)):
-        spec = MultiPointSpec((tj, ti), (0.0, 0.0))
-        for x in (-1.0, 0.0, 1.0):
-            for y in (-1.0, 0.0, 1.0):
-                worst = max(worst, khat_dual_check(spec, 2, 1, x, y)[2])
-    worst = max(worst, airy_convolution_identity(1.0, 0.0, 0.0, 0.0)[2])
+    rep = kernel_dual_validate(MASTER)
     _report(
         4,
         "kernel dual representation",
-        worst <= 1e-8,
-        f"max gap {worst:.2e} over 3 tau-pairs x 9 points",
+        rep.passed,
+        f"max gap {rep.statistic:.2e} over 3 tau-pairs x 9 points and 2 convolution points",
         t0,
     )
 
@@ -188,14 +174,16 @@ def test_c05_limit_law_structure():
     if abs(f2 - f1) > 1e-4:
         problems.append(f"marginalization {abs(f2 - f1):.2e}")
     # determinant positivity on every tested spec
-    for spec in (
-        MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)),
-        MultiPointSpec((0.0,), (-6.0,)),
-        MultiPointSpec((-0.5, 0.5), (0.0, 0.0)),
-    ):
-        ok, diag = invertibility_guard(spec, Q)
-        if not ok:
-            problems.append(f"guard {spec.taus}")
+    guard = invertibility_validate(
+        [
+            MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)),
+            MultiPointSpec((0.0,), (-6.0,)),
+            MultiPointSpec((-0.5, 0.5), (0.0, 0.0)),
+        ],
+        MASTER,
+    )
+    if not guard.passed:
+        problems.append(f"guard dets {guard.extras['dets']}")
     _report(
         5,
         "limit-law structure",
@@ -308,16 +296,17 @@ def test_c08_shift_argument():
     if not rep2.passed:
         problems.append(f"m=2 sup {rep2.statistic:.4f} > 0.03")
     # pathwise coupling: exact in real arithmetic; float re-association only
-    err = shift_coupling_max_error(0.25, 0.25, (3, 3), 300, MASTER + 10)
-    if err > 1e-12:
-        problems.append(f"coupling {err:.2e}")
+    coupling = shift_coupling_validate(0.25, 0.25, (3, 3), 300, MASTER + 10)
+    if not coupling.passed:
+        problems.append(f"coupling {coupling.statistic:.2e}")
     _report(
         8,
         "shift argument",
         not problems,
         "; ".join(problems)
         if problems
-        else f"sup m=1 {rep1.statistic:.4f}, m=2 {rep2.statistic:.4f}, coupling {err:.1e}",
+        else f"sup m=1 {rep1.statistic:.4f}, m=2 {rep2.statistic:.4f}, "
+        f"coupling {coupling.statistic:.1e}",
         t0,
     )
 
@@ -333,8 +322,8 @@ def test_c09_slow_decorrelation():
     # fraction is ~0.73: the window is only ~1.1 widths wide there)
     theta = 0.1
     main = slow_decorrelation_validate(frame, 0.25, 0.25, theta, 0.25, 2000, MASTER + 20)
-    ctrl = slow_decorrelation_validate(frame, 0.25, 0.25, theta, 0.10, 2000, MASTER + 20)
-    ok = main.statistic >= 0.95 and ctrl.statistic < 0.9
+    ctrl = slow_decorrelation_negative_control(frame, 0.25, 0.25, theta, 0.10, 2000, MASTER + 20)
+    ok = main.passed and ctrl.passed
     _report(
         9,
         "slow decorrelation",
@@ -366,15 +355,17 @@ def test_c10_burke_equilibrium():
 def test_c11_gaussian_off_characteristic():
     t0 = time.time()
     problems = []
-    above = gaussian_offchar_validate(0.5, 4.0, 2000, 5000, MASTER + 40)
+    # at rho = 1/2: gamma_c = 1, so the points are gamma = 4 and 1/4
+    gamma_above, gamma_below, _ = offchar_gammas(0.5)
+    above = gaussian_offchar_validate(0.5, gamma_above, 2000, 5000, MASTER + 40)
     if not above.passed:
         problems.append(f"gamma=4 KS {above.statistic:.4f}")
-    below = gaussian_offchar_validate(0.5, 0.25, 2000, 5000, MASTER + 41)
+    below = gaussian_offchar_validate(0.5, gamma_below, 2000, 5000, MASTER + 41)
     if not below.passed:
         problems.append(f"gamma=1/4 KS {below.statistic:.4f}")
     # expected failure on the characteristic direction
-    ctrl = gaussian_offchar_validate(0.5, 1.0 + 1e-9, 2000, 1500, MASTER + 42)
-    if ctrl.statistic <= 0.05:
+    ctrl = gaussian_critical_control(0.5, 2000, 1500, MASTER + 42)
+    if not ctrl.passed:
         problems.append(f"critical control unexpectedly normal ({ctrl.statistic:.4f})")
     _report(
         11,
@@ -383,6 +374,7 @@ def test_c11_gaussian_off_characteristic():
         "; ".join(problems)
         if problems
         else f"KS {above.statistic:.4f}/{below.statistic:.4f} "
-        f"(reading {above.extras['reading']}), control KS {ctrl.statistic:.4f}",
+        f"(var coeff {above.extras['var_coeff']:.3f}/{below.extras['var_coeff']:.3f}), "
+        f"control KS {ctrl.statistic:.4f}",
         t0,
     )

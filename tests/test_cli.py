@@ -114,3 +114,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "simulate-lpp" in proc.stdout
+
+
+def test_validate_off_half(tmp_path, capsys):
+    # the quick battery at rho = 0.3, every check placed from rho; the
+    # critical control among them only checks that its variance coefficient
+    # vanishes (see test_gaussian_critical_control_small)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rho": 0.3}))
+    assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert len(payload["reports"]) == 11
+    assert all(r["passed"] for r in payload["reports"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and all(l.startswith("PASS ") for l in lines)

@@ -11,16 +11,18 @@ from stasep.experiments import (
     empirical_cdf_joint,
     burke_validate,
     gaussian_coefficients,
+    gaussian_critical_control,
     gaussian_offchar_validate,
     limit_cdf_table,
     mc_vs_limit,
+    offchar_gammas,
     shift_argument_validate,
-    shift_coupling_max_error,
+    shift_coupling_validate,
     slow_decorrelation_validate,
     tandem_queue_sim,
 )
 from stasep.rng import SeedSpec
-from stasep.scaling import ScalingFrame
+from stasep.scaling import ScalingFrame, characteristic_ratio
 from stasep.weights import ModelParams
 
 
@@ -86,8 +88,8 @@ def test_shift_argument_small():
 
 
 def test_shift_coupling_tolerance():
-    err = shift_coupling_max_error(0.3, 0.1, (4, 3), 100, 11)
-    assert err <= 1e-12  # identity exact up to float re-association
+    rep = shift_coupling_validate(0.3, 0.1, (4, 3), 100, 11)
+    assert rep.statistic <= 1e-12  # identity exact up to float re-association
 
 
 def test_slow_decorrelation_shapes():
@@ -135,26 +137,49 @@ def test_burke_off_half():
 
 def test_gaussian_coefficients_values():
     # rho=0.5, gamma=4: mean coefficient 0.8*(2 + 0.5) = 2
-    c1, v = gaussian_coefficients(0.5, 4.0, "symmetric")
+    c1, v = gaussian_coefficients(0.5, 4.0)
     assert c1 == pytest.approx(2.0)
     assert v == pytest.approx(0.8 * (4.0 - 1.0 / (4.0 * 0.25)))
-    c1p, vp = gaussian_coefficients(0.5, 4.0, "printed")
-    assert c1p == pytest.approx(2.0)
-    assert vp == pytest.approx(0.8 * (4.0 - 1.0 / (4.0 * 0.75)))
-    # symmetric branch gamma=1/4: b1 = 0.2*(2+8) = 2
+    # gamma=1/4: b1 = 0.2*(2+8) = 2
     b1, bv = gaussian_coefficients(0.5, 0.25)
     assert b1 == pytest.approx(2.0)
     assert bv == pytest.approx(0.2 * (16.0 - 4.0))
     with pytest.raises(RefusalError):
         gaussian_coefficients(0.5, 1.0)
-
-
-def test_gaussian_offchar_small():
-    rep = gaussian_offchar_validate(0.5, 4.0, 600, 800, 3, threshold=0.08)
-    assert rep.passed, rep.extras
-    assert rep.extras["reading"] == "symmetric"
+    # rho=0.3, gamma_c = 49/9: above it (gamma=10) x/(1-rho)^2 dominates,
+    # 10/11 * (100/49 - 10/9) = 4100/4851; below it (gamma=1) y/rho^2 does,
+    # 1/2 * (100/9 - 100/49) = 2000/441.  Means 10/11 * (10/7 + 1/3) = 370/231
+    # and 1/2 * (10/7 + 10/3) = 50/21.
+    a1, av = gaussian_coefficients(0.3, 10.0)
+    assert a1 == pytest.approx(370.0 / 231.0)
+    assert av == pytest.approx(4100.0 / 4851.0)
+    b1, bv = gaussian_coefficients(0.3, 1.0)
+    assert b1 == pytest.approx(50.0 / 21.0)
+    assert bv == pytest.approx(2000.0 / 441.0)
     with pytest.raises(RefusalError):
-        gaussian_offchar_validate(0.5, 1.0, 500, 100, 1)
+        gaussian_coefficients(0.3, 1.0 / characteristic_ratio(0.3))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["above", "below"])
+@pytest.mark.parametrize("rho", [0.5, 0.3])
+def test_gaussian_offchar_small(rho, side):
+    # the points 4 gamma_c and gamma_c/4 on either side of the characteristic
+    rep = gaussian_offchar_validate(rho, offchar_gammas(rho)[side], 600, 800, 3, threshold=0.08)
+    assert rep.passed, rep.extras
+    with pytest.raises(RefusalError):
+        gaussian_offchar_validate(rho, 1.0 / characteristic_ratio(rho), 500, 100, 1)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.3])
+def test_gaussian_critical_control_small(rho):
+    # The control sits a relative 1e-9 off the characteristic, where the
+    # variance coefficient vanishes (about 2e-9).  Standardizing by it blows
+    # the sample up, so KS reads about 0.5 whatever the law of G: this checks
+    # only that the coefficient vanishes there, not that G is non-Gaussian.
+    rep = gaussian_critical_control(rho, 600, 800, 3)
+    assert rep.name == "gaussian-critical-control"
+    assert rep.extras["var_coeff"] < 1e-8
+    assert rep.passed, rep.extras
 
 
 def test_reports_reproducible():
