@@ -46,29 +46,6 @@ from .scaling import ScalingFrame, rescale_at_point, scale_dpp
 from .tasep import WaitingTimes, evolve, init_stationary, stationary_window
 from .weights import ModelParams
 
-_SCHEMAS = {
-    "simulate-lpp": {
-        "rho": float, "T": float, "taus": list, "n_samples": int,
-        "master_seed": int,
-    },
-    "simulate-tasep": {
-        "rho": float, "t_end": float, "obs_lo": int, "obs_hi": int,
-        "master_seed": int,
-    },
-    "limit-cdf": {
-        "taus": list, "s_min": float, "s_max": float, "s_step": float,
-        "quad_n": int, "quad_lambda": float,
-    },
-    "compare": {
-        "rho": float, "T": float, "taus": list, "n_samples": int,
-        "master_seed": int, "threads": int, "threshold": float,
-        "s_min": float, "s_max": float, "s_step": float,
-    },
-    "validate": {
-        "rho": float, "master_seed": int, "threads": int, "quick": bool,
-    },
-}
-
 _DEFAULTS = {
     "simulate-lpp": {
         "rho": 0.5, "T": 500.0, "taus": [0.0], "n_samples": 2000,
@@ -98,6 +75,8 @@ class ConfigError(ValueError):
 
 
 def load_config(subcommand: str, path):
+    """The defaults of `subcommand` overridden by the JSON object at `path`;
+    each key takes the type of its default (an int may stand for a float)."""
     cfg = dict(_DEFAULTS[subcommand])
     if path is not None:
         try:
@@ -105,16 +84,25 @@ def load_config(subcommand: str, path):
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        schema = _SCHEMAS[subcommand]
+        if type(user) is not dict:
+            raise ConfigError("config must be a JSON object")
         for key, value in user.items():
-            if key not in schema:
+            if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} for {subcommand}")
-            want = schema[key]
-            if want is float and isinstance(value, int):
+            want = type(cfg[key])
+            if want is float and type(value) is int:
                 value = float(value)
-            if not isinstance(value, want):
+            if type(value) is not want:
                 raise ConfigError(f"config key {key!r} must be {want.__name__}")
             cfg[key] = value
+        if not all(type(t) in (int, float) for t in cfg.get("taus", ())):
+            raise ConfigError("config key 'taus' must list numbers")
+        if "s_step" in cfg and not cfg["s_step"] > 0:
+            raise ConfigError("config key 's_step' must be > 0")
+        if "s_min" in cfg and not cfg["s_max"] >= cfg["s_min"]:
+            raise ConfigError("config key 's_max' must be >= s_min")
+        if "obs_lo" in cfg and cfg["obs_lo"] > cfg["obs_hi"]:
+            raise ConfigError("config key 'obs_lo' must be <= obs_hi")
     threads_env = os.environ.get("THREADS")
     if threads_env and "threads" in cfg:
         cfg["threads"] = int(threads_env)

@@ -22,8 +22,7 @@ from scipy import stats
 
 from .errors import ParameterError, RefusalError
 from .limitlaw import (
-    MultiPointSpec, QuadratureConfig, airy_convolution_identity, invertibility_guard,
-    khat_dual_check, limit_cdf,
+    MultiPointSpec, airy_convolution_identity, invertibility_guard, khat_dual_check, limit_cdf,
 )
 from .lpp import last_passage_batch
 from .rng import TAG_QUEUE_ARR, TAG_QUEUE_LEN, TAG_QUEUE_SRV, CounterStream, SeedSpec, sample_geom
@@ -159,16 +158,11 @@ def invertibility_validate(specs: Sequence[MultiPointSpec], master_seed: int) ->
 # limit-law vs simulation
 
 
-def limit_cdf_table(
-    spec_taus: Sequence[float],
-    s_vectors: Sequence[Sequence[float]],
-    quad: Optional[QuadratureConfig] = None,
-) -> np.ndarray:
-    """F(tau, s) evaluated at each s-vector (the expensive half of
-    mc_vs_limit, reusable across T's and seeds)."""
-    quad = quad or QuadratureConfig()
+def limit_cdf_table(spec_taus: Sequence[float], s_vectors: Sequence[Sequence[float]]) -> np.ndarray:
+    """F(tau, s) evaluated at each s-vector at the default quadrature (the
+    expensive half of mc_vs_limit, reusable across T's and seeds)."""
     return np.array(
-        [limit_cdf(MultiPointSpec(tuple(spec_taus), tuple(sv)), quad).f_value for sv in s_vectors]
+        [limit_cdf(MultiPointSpec(tuple(spec_taus), tuple(sv))).f_value for sv in s_vectors]
     )
 
 
@@ -179,7 +173,6 @@ def mc_vs_limit(
     master_seed: int,
     s_vectors: Sequence[Sequence[float]],
     limit_values: Optional[np.ndarray] = None,
-    quad: Optional[QuadratureConfig] = None,
     threshold: float = 0.05,
     bias_allowance: float = 0.0,
     threads: int = 1,
@@ -204,7 +197,7 @@ def mc_vs_limit(
     )
     ecdf = EmpiricalCDF(s_samples)
     if limit_values is None:
-        limit_values = limit_cdf_table(taus, s_vectors, quad)
+        limit_values = limit_cdf_table(taus, s_vectors)
     gaps, excesses = [], []
     for sv, fv in zip(s_vectors, limit_values):
         p, se = ecdf.joint_prob(sv)

@@ -90,9 +90,6 @@ class MultiPointSpec:
 class QuadratureConfig:
     n: int = 64               # Gauss-Legendre nodes per threshold interval
     big_lambda: float = 12.0  # truncation length of [s_k, s_k + Lambda]
-    lambda_panel: float = 1.5
-    lambda_nodes: int = 24
-    tail_exponent: float = 42.0  # e^-42 ~ 5e-19 certified tail mass
 
     def __post_init__(self):
         if self.n < 16:
@@ -102,13 +99,14 @@ class QuadratureConfig:
 
     def refined(self) -> "QuadratureConfig":
         """The (2n, Lambda+4) companion used for convergence checks."""
-        return QuadratureConfig(
-            n=2 * self.n,
-            big_lambda=self.big_lambda + 4.0,
-            lambda_panel=self.lambda_panel,
-            lambda_nodes=self.lambda_nodes,
-            tail_exponent=self.tail_exponent,
-        )
+        return QuadratureConfig(n=2 * self.n, big_lambda=self.big_lambda + 4.0)
+
+
+# Every truncated Airy integral is cut where its dropped tail mass is
+# certified below e^-TAIL_EXPONENT (~5e-19) and integrated with Gauss-Legendre
+# panels of width PANEL_WIDTH carrying PANEL_NODES nodes each.
+TAIL_EXPONENT = 42.0
+PANEL_WIDTH, PANEL_NODES = 1.5, 24
 
 
 def _airy_log_envelope(t: float) -> float:
@@ -118,40 +116,23 @@ def _airy_log_envelope(t: float) -> float:
     return -(2.0 / 3.0) * t**1.5 - 0.25 * math.log(max(t, 1.0)) - 1.26
 
 
-def _grow_length(rate: float, shift: float, target: float, start: float = 16.0) -> float:
-    """Smallest L (on a coarse ladder) with
-    2*|log Ai(L + shift)| - rate*L >= target: certifies the truncated tail of
-    a doubly-Airy integrand against an e^{rate*l} factor."""
-    L = start
-    while L < 120.0:
-        if -2.0 * _airy_log_envelope(L + shift) - rate * L >= target:
-            return L
-        L += 4.0
-    return L
+def _airy_rule(lo: float, shift: float, rate: float, factors: int, target: float = TAIL_EXPONENT):
+    """Composite rule on [lo, lo + L] for an integrand of `factors` (1 or 2)
+    Airy factors, each decaying like Ai(l - lo + shift), against e^{rate (l - lo)}.
+    L is the first rung of the ladder 16, 20, ..., 160 at which the envelope
+    certifies the dropped tail below e^-target (160 if none does)."""
+    length = 16.0
+    while length < 160.0 and -factors * _airy_log_envelope(length + shift) - rate * length < target:
+        length += 4.0
+    return composite_rule(lo, lo + length, int(np.ceil(length / PANEL_WIDTH)), PANEL_NODES)
 
 
-def _grow_length_single(rate: float, shift: float, target: float) -> float:
-    """As above for a single Airy factor against e^{rate*l}."""
-    L = 16.0
-    while L < 160.0:
-        if -_airy_log_envelope(L + shift) - rate * L >= target:
-            return L
-        L += 4.0
-    return L
-
-
-def _lambda_rule(spec: MultiPointSpec, quad: QuadratureConfig):
+def _lambda_rule(spec: MultiPointSpec):
     """The lambda grid shared by every int_0^inf d-lambda factor of a system."""
     taus = np.array(spec.taus)
     dmax = float(taus[-1] - taus[0]) if spec.m > 1 else 0.0
     shift = float(np.array(spec.esses).min() + (taus**2).min())
-    lam_len = _grow_length(dmax, shift, quad.tail_exponent)
-    return composite_rule(
-        0.0,
-        lam_len,
-        max(4, int(np.ceil(lam_len / quad.lambda_panel))),
-        quad.lambda_nodes,
-    )
+    return _airy_rule(0.0, shift, dmax, 2)
 
 
 # Gauss-Legendre panels between consecutive points of a tail-integral table:
@@ -161,7 +142,7 @@ _SEG_WIDTH, _SEG_NODES = 0.5, 8
 _SEG_RULE = legendre_rule(_SEG_NODES, 0.0, 1.0)
 
 
-def _tail_integrals(a: float, b: float, v: np.ndarray, target: float) -> np.ndarray:
+def _tail_integrals(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT) -> np.ndarray:
     """T(v_k) = int_{v_k}^inf e^{-a u} Ai(u + b) du at every point of the 1-D
     array v, returned in v's order (unsorted and repeated points allowed).
 
@@ -175,8 +156,7 @@ def _tail_integrals(a: float, b: float, v: np.ndarray, target: float) -> np.ndar
     vs = v[order]
     top = float(vs[-1])
     rate = max(-a, 0.0)
-    length = _grow_length_single(rate, top + b, target + rate * (top - float(vs[0])))
-    tail = composite_rule(top, top + length, max(6, int(np.ceil(length / 1.5))), 24)
+    tail = _airy_rule(top, top + b, rate, 1, target + rate * (top - float(vs[0])))
     gaps = np.diff(vs)
     panels = np.maximum(np.ceil(gaps / _SEG_WIDTH), 1.0).astype(int)
     first = np.cumsum(panels) - panels
@@ -233,7 +213,7 @@ class NystromSystem:
         self.weights = [r.weights for r in rules]
         sqw = [np.sqrt(w) for w in self.weights]
 
-        lam_rule = _lambda_rule(spec, quad)
+        lam_rule = _lambda_rule(spec)
         self.lam = lam_rule.nodes
         self.lam_w = lam_rule.weights
         self.lam_len = lam_rule.interval[1]
@@ -250,23 +230,11 @@ class NystromSystem:
                 decay = np.exp(-self.lam * (taus[j] - taus[i])) * self.lam_w
                 blk = (self.ai_tables[i] * decay[None, :]) @ self.ai_tables[j].T
                 if taus[i] > taus[j]:
-                    blk = blk - self._gauss_term(i, j)
+                    x, y = self.nodes[i][:, None], self.nodes[j][None, :]
+                    blk = blk - _gauss_term(spec.taus[i], spec.taus[j], x, y)
                 blocks[i][j] = sqw[i][:, None] * blk * sqw[j][None, :]
         self.matrix = np.block(blocks)
         self._lu: Optional[Tuple] = None
-
-    def _gauss_term(self, i: int, j: int) -> np.ndarray:
-        taus = self.spec.taus
-        x = self.nodes[i][:, None]
-        y = self.nodes[j][None, :]
-        delta = taus[i] - taus[j]
-        expo = (
-            -((x - y) ** 2) / (4.0 * delta)
-            + (2.0 / 3.0) * (taus[j] ** 3 - taus[i] ** 3)
-            + taus[j] * y
-            - taus[i] * x
-        )
-        return np.exp(expo) / np.sqrt(4.0 * np.pi * delta)
 
     def _factor(self) -> Tuple:
         """LU of 1 - D, taken on first use (so an edit of `matrix` made
@@ -318,15 +286,24 @@ class NystromSystem:
 
 # ---------------------------------------------------------------------------
 # kernel entries (scalar routes, used by tests and the dual-representation
-# check; the Nystrom assembly above evaluates the same formulas in bulk)
+# check; the Nystrom assembly above shares _gauss_term and evaluates the
+# Airy pair integral in bulk on its lambda grid)
 
 
-def _khat_nonneg_branch(tau_i, tau_j, x, y, tail_exponent=42.0):
-    """int_0^inf Ai(x+l+tau_i^2) Ai(y+l+tau_j^2) e^{-l(tau_j-tau_i)} dl."""
-    rate = max(tau_i - tau_j, 0.0)
-    shift = min(x + tau_i**2, y + tau_j**2)
-    length = _grow_length(rate, shift, tail_exponent)
-    rule = composite_rule(0.0, length, max(4, int(np.ceil(length / 1.5))), 24)
+def _gauss_term(tau_i, tau_j, x, y):
+    """The Gaussian of the tau_i > tau_j rewrite; broadcasts over x and y."""
+    delta = tau_i - tau_j
+    expo = (
+        -((x - y) ** 2) / (4.0 * delta)
+        + (2.0 / 3.0) * (tau_j**3 - tau_i**3)
+        + tau_j * y
+        - tau_i * x
+    )
+    return np.exp(expo) / np.sqrt(4.0 * np.pi * delta)
+
+
+def _airy_pair(tau_i, tau_j, x, y, rule) -> float:
+    """int Ai(x+l+tau_i^2) Ai(y+l+tau_j^2) e^{-l(tau_j-tau_i)} dl on `rule`."""
     lam = rule.nodes
     vals = (
         airy_ai(x + lam + tau_i**2)
@@ -336,15 +313,10 @@ def _khat_nonneg_branch(tau_i, tau_j, x, y, tail_exponent=42.0):
     return float(np.dot(rule.weights, vals))
 
 
-def _khat_gauss_term(tau_i, tau_j, x, y):
-    delta = tau_i - tau_j
-    expo = (
-        -((x - y) ** 2) / (4.0 * delta)
-        + (2.0 / 3.0) * (tau_j**3 - tau_i**3)
-        + tau_j * y
-        - tau_i * x
-    )
-    return float(np.exp(expo) / np.sqrt(4.0 * np.pi * delta))
+def _khat_nonneg_branch(tau_i, tau_j, x, y) -> float:
+    """The Airy pair integral over [0, inf)."""
+    shift = min(x + tau_i**2, y + tau_j**2)
+    return _airy_pair(tau_i, tau_j, x, y, _airy_rule(0.0, shift, max(tau_i - tau_j, 0.0), 2))
 
 
 def khat(spec: MultiPointSpec, i: int, j: int, x: float, y: float) -> float:
@@ -354,24 +326,18 @@ def khat(spec: MultiPointSpec, i: int, j: int, x: float, y: float) -> float:
     ti, tj = spec.taus[i - 1], spec.taus[j - 1]
     val = _khat_nonneg_branch(ti, tj, x, y)
     if ti > tj:
-        val -= _khat_gauss_term(ti, tj, x, y)
+        val -= float(_gauss_term(ti, tj, x, y))
     return val
 
 
-def _khat_neg_branch(tau_i, tau_j, x, y):
-    """int_{-inf}^0 Ai(x+l+tau_i^2) Ai(y+l+tau_j^2) e^{-l(tau_j-tau_i)} dl,
-    convergent for tau_i > tau_j."""
+def _khat_neg_branch(tau_i, tau_j, x, y) -> float:
+    """The Airy pair integral over (-inf, 0], convergent for tau_i > tau_j.
+    Its rule is its own, so the dual check compares independent routes."""
     delta = tau_i - tau_j
     # envelope: |Ai Ai e^{l delta}| <= 0.3 e^{l delta} for l -> -inf
     length = min((math.log(0.3) + 23.0) / delta + 8.0, 34.0)
     rule = composite_rule(-length, 0.0, max(8, int(np.ceil(length / 0.5))), 16)
-    lam = rule.nodes
-    vals = (
-        airy_ai(x + lam + tau_i**2)
-        * airy_ai(y + lam + tau_j**2)
-        * np.exp(-lam * (tau_j - tau_i))
-    )
-    return float(np.dot(rule.weights, vals))
+    return _airy_pair(tau_i, tau_j, x, y, rule)
 
 
 def khat_dual_check(
@@ -385,7 +351,7 @@ def khat_dual_check(
     if not ti > tj:
         raise ParameterError("dual check applies to the tau_i > tau_j branch only")
     lhs = -_khat_neg_branch(ti, tj, x, y)
-    rhs = _khat_nonneg_branch(ti, tj, x, y) - _khat_gauss_term(ti, tj, x, y)
+    rhs = _khat_nonneg_branch(ti, tj, x, y) - float(_gauss_term(ti, tj, x, y))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -402,7 +368,7 @@ def airy_convolution_identity(
     if not b2 < b1:
         raise ParameterError("identity requires b2 < b1 (divergent otherwise)")
     lhs = _khat_nonneg_branch(b1, b2, c1, c2) + _khat_neg_branch(b1, b2, c1, c2)
-    rhs = _khat_gauss_term(b1, b2, c1, c2)
+    rhs = float(_gauss_term(b1, b2, c1, c2))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -418,32 +384,30 @@ class Def11Terms:
     b_zero: float    # B(0) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2) dy
 
 
-def _r_value(spec: MultiPointSpec, tail_exponent: float = 42.0) -> float:
+def _r_value(spec: MultiPointSpec) -> float:
     """R = s1 + e^{-2/3 tau1^3} int_{s1}^inf du (u - s1) Ai(u + tau1^2) e^{-tau1 u}
     (the double integral collapsed along u = x + y)."""
     t1 = spec.taus[0]
     s1 = spec.esses[0]
-    rate = max(-t1, 0.0)
-    length = _grow_length_single(rate, s1 + t1**2, tail_exponent + max(-t1 * s1, 0.0))
-    rule = composite_rule(s1, s1 + length, max(6, int(np.ceil(length / 1.5))), 24)
+    rule = _airy_rule(s1, s1 + t1**2, max(-t1, 0.0), 1, TAIL_EXPONENT + max(-t1 * s1, 0.0))
     u = rule.nodes
     integrand = (u - s1) * airy_ai(u + t1**2) * np.exp(-t1 * u)
     return s1 + math.exp(-(2.0 / 3.0) * t1**3) * float(np.dot(rule.weights, integrand))
 
 
-def _psi_values(tau_j: float, y: np.ndarray, tail_exponent: float = 42.0) -> np.ndarray:
+def _psi_values(tau_j: float, y: np.ndarray) -> np.ndarray:
     """Psi_j(y) = e^{2/3 tau_j^3 + tau_j y} - int_0^inf Ai(x+y+tau_j^2) e^{-tau_j x} dx;
     the integral is e^{tau_j y} T(y) with a = tau_j, b = tau_j^2."""
-    integral = np.exp(tau_j * y) * _tail_integrals(tau_j, tau_j**2, y, tail_exponent)
+    integral = np.exp(tau_j * y) * _tail_integrals(tau_j, tau_j**2, y)
     return np.exp((2.0 / 3.0) * tau_j**3 + tau_j * y) - integral
 
 
-def _b_table(spec: MultiPointSpec, lam: np.ndarray, tail_exponent: float = 42.0) -> np.ndarray:
+def _b_table(spec: MultiPointSpec, lam: np.ndarray) -> np.ndarray:
     """B(l) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2 + l) dy = e^{tau1 l} T(s1 + l)
     at the points lam (a = tau1, b = tau1^2)."""
     t1 = spec.taus[0]
     s1 = spec.esses[0]
-    target = tail_exponent + max(-t1 * s1, 0.0)
+    target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
     return np.exp(t1 * lam) * _tail_integrals(t1, t1**2, s1 + lam, target)
 
 
@@ -455,7 +419,6 @@ def _phi_values(
     lam: np.ndarray,
     lam_w: np.ndarray,
     b_table: np.ndarray,
-    tail_exponent: float = 42.0,
 ) -> np.ndarray:
     """Phi_i(x) on the points x, i 0-based; ai_x holds Ai(x + tau_i^2 + l) on
     the lambda grid and b_table holds B(l) there (see _b_table)."""
@@ -476,28 +439,23 @@ def _phi_values(
     else:
         term2 = 0.0
     # int_0^inf Ai(x + tau_i^2 + y) e^{tau_i y} dy = e^{-tau_i x} T(x), a = -tau_i
-    term3 = np.exp(-ti * x) * _tail_integrals(-ti, ti**2, x, tail_exponent)
+    term3 = np.exp(-ti * x) * _tail_integrals(-ti, ti**2, x)
     return term1 + term2 - term3
 
 
-def def11_terms(spec: MultiPointSpec, quad: QuadratureConfig, system: Optional[NystromSystem] = None) -> Def11Terms:
-    """R, Psi_j, Phi_i tabulated at the Nystrom nodes, and B(0)."""
-    sysm = system if system is not None else NystromSystem(spec, quad)
-    b_table = _b_table(spec, sysm.lam, quad.tail_exponent)
-    psi = np.stack(
-        [_psi_values(spec.taus[j], sysm.nodes[j], quad.tail_exponent) for j in range(spec.m)]
-    )
+def def11_terms(sysm: NystromSystem) -> Def11Terms:
+    """R, Psi_j, Phi_i tabulated at the nodes of sysm, and B(0)."""
+    spec = sysm.spec
+    b_table = _b_table(spec, sysm.lam)
+    psi = np.stack([_psi_values(spec.taus[j], sysm.nodes[j]) for j in range(spec.m)])
     phi = np.stack(
         [
-            _phi_values(
-                spec, i, sysm.nodes[i], sysm.ai_tables[i], sysm.lam, sysm.lam_w, b_table,
-                quad.tail_exponent,
-            )
+            _phi_values(spec, i, sysm.nodes[i], sysm.ai_tables[i], sysm.lam, sysm.lam_w, b_table)
             for i in range(spec.m)
         ]
     )
-    b_zero = float(_b_table(spec, np.zeros(1), quad.tail_exponent)[0])
-    return Def11Terms(r_value=_r_value(spec, quad.tail_exponent), psi=psi, phi=phi, b_zero=b_zero)
+    b_zero = float(_b_table(spec, np.zeros(1))[0])
+    return Def11Terms(r_value=_r_value(spec), psi=psi, phi=phi, b_zero=b_zero)
 
 
 def psi_function(spec: MultiPointSpec, j: int, y) -> np.ndarray:
@@ -505,17 +463,13 @@ def psi_function(spec: MultiPointSpec, j: int, y) -> np.ndarray:
     return _psi_values(spec.taus[j - 1], np.atleast_1d(np.asarray(y, dtype=float)))
 
 
-def phi_function(spec: MultiPointSpec, i: int, x, quad: Optional[QuadratureConfig] = None) -> np.ndarray:
+def phi_function(spec: MultiPointSpec, i: int, x) -> np.ndarray:
     """Phi_i at arbitrary points (i 1-based); test/oracle surface."""
-    quad = quad or QuadratureConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam_rule = _lambda_rule(spec, quad)
+    lam_rule = _lambda_rule(spec)
     lam = lam_rule.nodes
     ai_x = airy_ai(x[:, None] + spec.taus[i - 1] ** 2 + lam[None, :])
-    b_table = _b_table(spec, lam, quad.tail_exponent)
-    return _phi_values(
-        spec, i - 1, x, ai_x, lam, lam_rule.weights, b_table, quad.tail_exponent
-    )
+    return _phi_values(spec, i - 1, x, ai_x, lam, lam_rule.weights, _b_table(spec, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +490,7 @@ def g_m(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig(), syste
     the sign unambiguously.
     """
     sysm = system if system is not None else NystromSystem(spec, quad)
-    terms = def11_terms(spec, quad, sysm)
+    terms = def11_terms(sysm)
     return terms.r_value - sysm.resolvent_inner(terms.phi, terms.psi)
 
 
@@ -572,7 +526,7 @@ def limit_cdf(
     derivative along (1, ..., 1) in closed form from the one system at s."""
     base = NystromSystem(spec, quad)
     det0 = base.det
-    terms = def11_terms(spec, quad, base)
+    terms = def11_terms(base)
     g0 = terms.r_value - base.resolvent_inner(terms.phi, terms.psi)
     dlogdet, dg = _shift_derivatives(spec, base, terms)
     f = det0 * (dg + g0 * dlogdet)

@@ -16,7 +16,7 @@ same max/add float operations, so the bridge comparisons are bit-exact.
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class WaitingTimes:
     def __init__(self, seed: SeedSpec):
         self.seed = seed
         self._key = seed.key
-
-    def omega(self, i: int, j: int) -> float:
-        u = uniform_oc(self._key, TAG_OMEGA, i + _OFF, j + _OFF)
-        return float(exp_from_uniform(u, 1.0))
 
     def omega_row(self, j: int, i_lo: int, i_hi: int) -> np.ndarray:
         idx = np.arange(i_lo + _OFF, i_hi + 1 + _OFF)
@@ -104,25 +100,11 @@ class JumpLog:
     times: List[float] = field(default_factory=list)
     labels: List[int] = field(default_factory=list)
     targets: List[int] = field(default_factory=list)
-    _index: Optional[Dict[Tuple[int, int], float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _seen_len: int = field(default=-1, init=False, repr=False, compare=False)
 
     def jump_time(self, i: int, j: int) -> Optional[float]:
         """Time of the jump with clock index (i, j), i.e. particle j into
-        site i - j; None if it has not occurred.  The log is append-only.
-        The first lookup at a given log length scans the log up to the jump
-        (the bridge makes one lookup per log); later ones use a (label,
-        target) index, built once."""
-        n = len(self.times)
-        if n == self._seen_len:
-            if self._index is None:
-                pairs = zip(reversed(self.labels), reversed(self.targets))
-                # built back to front, so the earliest of equal keys wins
-                self._index = dict(zip(pairs, reversed(self.times)))
-            return self._index.get((j, i - j))
-        self._seen_len, self._index = n, None
+        site i - j; None if it has not occurred.  A scan of the log: the
+        bridge makes one lookup per log."""
         for t, lab, tgt in zip(self.times, self.labels, self.targets):
             if lab == j and tgt == i - j:
                 return t

@@ -223,7 +223,7 @@ def test_c06_quadrature_convergence():
 @pytest.fixture(scope="module")
 def m1_table():
     svecs = [[s] for s in np.arange(-4.0, 4.01, 0.25)]
-    return svecs, limit_cdf_table([0.0], svecs, Q)
+    return svecs, limit_cdf_table([0.0], svecs)
 
 
 def test_c07_mc_vs_limit(m1_table):
@@ -257,7 +257,7 @@ def test_c07_mc_vs_limit(m1_table):
         [1.0, 0.0],
         [-1.0, 0.5],
     ]
-    table2 = limit_cdf_table(taus2, svecs2, Q)
+    table2 = limit_cdf_table(taus2, svecs2)
     joint = mc_vs_limit(
         ScalingFrame(T=1000.0, rho=0.5), taus2, 2 * 10**4, MASTER + 17, svecs2,
         limit_values=table2, bias_allowance=0.03,

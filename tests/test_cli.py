@@ -80,6 +80,29 @@ def test_bad_type_rejected(tmp_path):
     assert run_cli(["limit-cdf", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "subcommand, user",
+    [
+        ("limit-cdf", {"s_step": 0}),
+        ("compare", {"s_step": 0}),
+        ("limit-cdf", {"taus": ["a"]}),
+        ("limit-cdf", {"taus": [None]}),
+        ("simulate-tasep", {"obs_lo": 5, "obs_hi": -5}),
+        ("limit-cdf", {"s_step": -0.5}),
+        ("limit-cdf", {"s_max": -5}),
+        ("simulate-lpp", {"n_samples": True}),
+        ("limit-cdf", [0.0]),
+    ],
+)
+def test_bad_value_rejected(tmp_path, capsys, subcommand, user):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user))
+    out = tmp_path / "out"
+    assert run_cli([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()  # no partial output
+
+
 def test_malformed_json_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

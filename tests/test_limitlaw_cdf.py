@@ -84,7 +84,7 @@ def test_g_neumann_consistency():
     # resolvent within quadrature error
     spec = MultiPointSpec((0.0,), (4.0,))
     sysm = NystromSystem(spec, Q)
-    terms = def11_terms(spec, Q, sysm)
+    terms = def11_terms(sysm)
     sq = np.sqrt(np.concatenate(sysm.weights))
     f = sq * np.concatenate(terms.phi)
     g = sq * np.concatenate(terms.psi)
@@ -237,7 +237,7 @@ def test_shared_lu_matches_numpy():
         a = np.eye(sysm.matrix.shape[0]) - sysm.matrix
         sign, logabs = np.linalg.slogdet(a)
         assert sysm.det == pytest.approx(sign * np.exp(logabs), rel=1e-13)
-        terms = def11_terms(spec, Q, sysm)
+        terms = def11_terms(sysm)
         sq = np.sqrt(np.concatenate(sysm.weights))
         f = sq * np.concatenate(terms.phi)
         g = sq * np.concatenate(terms.psi)

@@ -74,6 +74,23 @@ def test_khat_index_validation():
         khat_dual_check(spec, 1, 2, 0.0, 0.0)  # needs tau_i > tau_j
 
 
+@pytest.mark.parametrize("taus", [(0.0,), (-1.0, 1.0), (-1.0, 0.5, 2.0)])
+def test_nystrom_matrix_matches_khat(taus):
+    # the bulk assembly and the scalar route evaluate one kernel: an entry
+    # of the balanced matrix over sqrt(w_p w_q) is khat at the two nodes
+    spec = MultiPointSpec(taus, tuple(np.linspace(-2.0, 1.0, len(taus)).tolist()))
+    sysm = NystromSystem(spec, QuadratureConfig())
+    n = sysm.quad.n
+    for i in range(spec.m):
+        for j in range(spec.m):
+            for p, q in ((0, 0), (9, 47), (31, 20), (63, 63)):
+                entry = sysm.matrix[i * n + p, j * n + q] / math.sqrt(
+                    sysm.weights[i][p] * sysm.weights[j][q]
+                )
+                ref = khat(spec, i + 1, j + 1, sysm.nodes[i][p], sysm.nodes[j][q])
+                assert abs(entry - ref) <= 1e-12, (i, j, p, q)
+
+
 def test_dual_representation_acceptance_grid():
     # |direct negative-axis branch - (positive branch - Gaussian)| <= 1e-8
     worst = 0.0
@@ -133,7 +150,7 @@ def test_def11_node_tables_consistent_with_functions():
     spec = MultiPointSpec((-0.5, 0.5), (-1.0, 0.5))
     quad = QuadratureConfig(n=24)
     sysm = NystromSystem(spec, quad)
-    terms = def11_terms(spec, quad, sysm)
+    terms = def11_terms(sysm)
     for j in (1, 2):
         vals = psi_function(spec, j, sysm.nodes[j - 1])
         assert np.allclose(terms.psi[j - 1], vals, atol=1e-12)
@@ -208,5 +225,5 @@ def test_phi_and_r_shift_identities():
     assert abs(_shift_derivative(lambda d: _r_value(_shifted(d))) - dr) <= 1e-9
     # def11_terms carries the same B(0)
     quad = QuadratureConfig(n=24)
-    terms = def11_terms(SHIFT_SPEC, quad, NystromSystem(SHIFT_SPEC, quad))
+    terms = def11_terms(NystromSystem(SHIFT_SPEC, quad))
     assert terms.b_zero == b_zero

@@ -179,8 +179,8 @@ def test_queue_interdeparture_exponential():
 
 
 def test_jump_time_index_follows_the_log():
-    # the (label, target) index answers as a scan of the log would, and a
-    # log that grows after the first lookup is scanned, then indexed, anew
+    # a lookup finds each logged jump, misses one never made, and sees a
+    # jump appended after an earlier lookup
     st = init_stationary(0.5, stationary_window(-30, 30, 15.0), SeedSpec(45, 2))
     _, log = evolve(st, WaitingTimes(SeedSpec(45, 2)), 15.0, record=True)
     for t, lab, tgt in list(zip(log.times, log.labels, log.targets))[::7]:
