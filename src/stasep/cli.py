@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, InvertibilityError, ParameterError, RefusalError
+from .errors import (
+    AccuracyError,
+    DomainError,
+    FrameError,
+    InvertibilityError,
+    ParameterError,
+    RefusalError,
+)
 from .experiments import (
     burke_validate,
     gaussian_critical_control,
@@ -103,6 +110,8 @@ def load_config(subcommand: str, path):
             raise ConfigError("config key 's_max' must be >= s_min")
         if "obs_lo" in cfg and cfg["obs_lo"] > cfg["obs_hi"]:
             raise ConfigError("config key 'obs_lo' must be <= obs_hi")
+        if "n_samples" in cfg and cfg["n_samples"] < 1:
+            raise ConfigError("config key 'n_samples' must be >= 1")
     threads_env = os.environ.get("THREADS")
     if threads_env and "threads" in cfg:
         cfg["threads"] = int(threads_env)
@@ -133,6 +142,7 @@ def write_csv(path: Path, subcommand, cfg, header, rows):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -208,6 +218,7 @@ def _write_report(outdir: Path, subcommand, cfg, reports):
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -274,14 +285,17 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # the output directory is made when the first file is written, so a
+    # refused run leaves nothing behind
     try:
-        return _COMMANDS[args.subcommand](cfg, outdir)
+        return _COMMANDS[args.subcommand](cfg, Path(args.out))
     except (AccuracyError, InvertibilityError) as exc:
         print(f"numerical-accuracy failure: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, RefusalError) as exc:
+    except (ParameterError, DomainError, FrameError, RefusalError) as exc:
+        # every argument comes from the config, so an argument outside a
+        # supported domain (a scaled point off the frame, an Airy argument
+        # past its table) is a configuration error
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

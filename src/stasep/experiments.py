@@ -504,23 +504,26 @@ def gaussian_coefficients(rho: float, gamma: float):
     return mean, var
 
 
-def gaussian_offchar_validate(
-    rho: float,
-    gamma: float,
-    n_scale: int,
-    n_samples: int,
-    master_seed: int,
-    threshold: float = 0.05,
-    threads: int = 1,
+def point_variance(rho: float, x: int, y: int) -> float:
+    """Var G(x, y) per unit N = x + y by the law |x/(1-rho)^2 - y/rho^2|, at
+    the lattice point itself: gaussian_coefficients(rho, x/y) off the axes
+    (refused on the characteristic), the one surviving term on an axis."""
+    if x == 0 or y == 0:
+        return (x / (1.0 - rho) ** 2 + y / rho**2) / (x + y)
+    return gaussian_coefficients(rho, x / y)[1]
+
+
+def _offchar_ks(
+    rho: float, gamma: float, N: int, variance, n_samples: int, master_seed: int,
+    threshold: float, threads: int,
 ) -> ValidationReport:
-    """KS test of G(x, y), centred on its exact mean and standardized by the
-    variance of gaussian_coefficients, against N(0,1) away from the
-    characteristic direction."""
-    _, var = gaussian_coefficients(rho, gamma)
+    """KS test against N(0,1) of G at the lattice point (x, y) nearest the
+    gamma ray of scale N, centred on its exact mean and divided by
+    sqrt(variance(x, y) N)."""
     t0 = time.time()
-    N = int(n_scale)
     y = int(round(N / (1.0 + gamma)))
     x = N - y
+    var = variance(x, y)
     mu = x / (1.0 - rho) + y / rho  # exact lattice mean
     g = _batched_g(ModelParams.two_sided(rho), master_seed, n_samples, [(x, y)], threads=threads)[:, 0]
     centered = (g - mu) / math.sqrt(N)
@@ -543,14 +546,38 @@ def gaussian_offchar_validate(
     )
 
 
+def gaussian_offchar_validate(
+    rho: float,
+    gamma: float,
+    n_scale: int,
+    n_samples: int,
+    master_seed: int,
+    threshold: float = 0.05,
+    threads: int = 1,
+) -> ValidationReport:
+    """KS test of G(x, y) at the lattice point nearest the gamma ray, centred
+    on its exact mean and standardized by the point's own variance
+    (point_variance), against N(0,1) away from the characteristic direction.
+    Near rho = 0 or 1 the point can round onto an axis, where the ray's
+    coefficient would misstate the variance by a quarter."""
+    gaussian_coefficients(rho, gamma)  # refuses the characteristic ray
+    return _offchar_ks(
+        rho, gamma, int(n_scale), lambda x, y: point_variance(rho, x, y),
+        n_samples, master_seed, threshold, threads,
+    )
+
+
 def gaussian_critical_control(
     rho: float, n_scale: int, n_samples: int, master_seed: int, threads: int = 1
 ) -> ValidationReport:
     """Negative control a relative 1e-9 off the characteristic: passes when
-    KS exceeds 0.05.  The variance coefficient there is about 2e-9, so KS
-    reads about 0.5 whatever the law of G: this checks only that it vanishes."""
-    rep = gaussian_offchar_validate(
-        rho, offchar_gammas(rho)[2], n_scale, n_samples, master_seed, 0.05, threads
+    KS exceeds 0.05.  It standardizes by the ray's variance coefficient,
+    about 2e-9 there, so KS reads about 0.5 whatever the law of G: this
+    checks only that the coefficient vanishes."""
+    gamma = offchar_gammas(rho)[2]
+    var = gaussian_coefficients(rho, gamma)[1]
+    rep = _offchar_ks(
+        rho, gamma, int(n_scale), lambda x, y: var, n_samples, master_seed, 0.05, threads
     )
     return replace(rep, name="gaussian-critical-control", passed=rep.statistic > 0.05)
 

@@ -11,6 +11,12 @@ The jump times then satisfy T(i,j) = Omega(i,j) + max(T(i-1,j), T(i,j-1))
 with T = 0 outside the domain {i - j > x_j(0)}, which is a last-passage
 recursion over a staircase domain; the simulator and the DP compute the
 same max/add float operations, so the bridge comparisons are bit-exact.
+
+The bridge simulates only the particles that can matter: the DP rows, and
+behind them those whose own clocks can carry them to an observed site by
+the last time checked.  A particle's n-th jump comes no earlier than the
+rounded running sum of its first n clocks, and no particle acts on those
+ahead of it, so this light-cone pruning keeps every bit of the result.
 """
 
 import heapq
@@ -155,8 +161,9 @@ def evolve(
 
     The particle with the smallest simulated label is treated as unblocked;
     the caller must size the label range so that unsimulated particles
-    cannot influence the observables (see lpp_bridge_check for the margin
-    arithmetic).  Raises WindowError if any particle escapes the window.
+    cannot influence the observables (lpp_bridge_check states its label
+    range, margins and pruning rule).  Raises WindowError if any particle
+    escapes the window.
     """
     if t_end < state.time:
         raise ParameterError("t_end precedes current state time")
@@ -271,6 +278,24 @@ class BridgeReport:
     witness: Optional[str] = None
 
 
+def _occupied_until(seed: SeedSpec, rho: float, origin: int, step: int, span: int, stop):
+    """The occupied sites met walking from `origin` in direction `step` (+1 or
+    -1), in walking order, up to but excluding the k-th one (k = 1, 2, ...)
+    at site s for which stop(s, k) first holds; `stop` maps arrays to a
+    boolean array.  The occupations are drawn in one bernoulli_occupation call
+    over `span` sites, doubled until the rule fires (they are a pure function
+    of the site, so the span changes no value)."""
+    while True:
+        lo, hi = sorted((origin, origin + step * (span - 1)))
+        sites = lo + np.flatnonzero(bernoulli_occupation(seed, lo, hi, rho))
+        if step < 0:
+            sites = sites[::-1]
+        hit = np.flatnonzero(stop(sites, np.arange(1, len(sites) + 1)))
+        if hit.size:
+            return sites[: hit[0]]
+        span *= 2
+
+
 def lpp_bridge_check(
     master_seed: int,
     sample_index: int,
@@ -294,6 +319,23 @@ def lpp_bridge_check(
     h_t(j) >= x+y is the arrival of particle y at site j+1; displayed with
     h_t(x-y) the statement acquires a unit shift that matters pathwise
     (though not in the scaling limit), hence the -1 offsets here.
+
+    Simulated labels.  Labels <= 0 sit on sites >= 1 and are kept while
+    their DP row is non-empty; labels 1..y are always kept (the DP rows,
+    particle y and its exit time).  The replay observes only jumps into
+    sites >= seg_lo = min(1, x-y): N_t counts entries to site 1, the height
+    segment [seg_lo, seg_hi] entries and exits.  A label j > y starts at
+    x_j(0) <= -j < seg_lo and is a candidate only if it lies within
+    reach = t_cap + 10 sqrt(max(t_cap, 1)) + 25 of min(x-y, 0).  A
+    candidate is kept iff the running sum (np.cumsum, rounded in jump
+    order) of its own first n_j = seg_lo - x_j(0) clocks is <= t_cap, and
+    every label up to the largest kept one is simulated.  Dropping the rest
+    changes no bit of the report:
+      - each jump time is fl(arm time + clock) with the arm time no earlier
+        than the previous jump, so by monotone rounding the n-th jump time
+        is >= that running sum: a dropped label never reaches seg_lo by t_cap;
+      - a particle never acts on the labels ahead of it, so no kept label
+        moves differently.
     """
     if x < 1 or y < 1:
         raise ParameterError("bridge requires x, y >= 1")
@@ -301,62 +343,42 @@ def lpp_bridge_check(
     waits = WaitingTimes(seed)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     t_cap = float(t_grid[-1])
+    j_site = x - y - 1  # height is probed one site left of the arrival
+    if j_site >= 1:
+        seg_lo, seg_hi = 1, j_site
+    else:
+        seg_lo, seg_hi = j_site + 1, 0
 
-    # occupation draws, conditioned at sites 0 and 1, fetched in blocks
-    _occ_cache: Dict[int, np.ndarray] = {}
+    # labels <= 0 live on sites >= 1 (label 0 on the conditioned site 1);
+    # include while the row domain {i : x_j(0) + j < i <= x} is non-empty
+    # (monotone stopping rule)
+    right = _occupied_until(seed, rho, 2, 1, 4 * x + 64, lambda s, k: s >= x + k)
 
-    def occupied(site: int) -> bool:
-        if site == 0:
-            return False
-        if site == 1:
-            return True
-        block, off = divmod(site + (1 << 12), 64)
-        if block not in _occ_cache:
-            lo = block * 64 - (1 << 12)
-            _occ_cache[block] = bernoulli_occupation(seed, lo, lo + 63, rho)
-        return bool(_occ_cache[block][off])
-
-    # labels <= 0 live on non-negative sites; include while the row domain
-    # {i : x_j(0) + j < i <= x} is non-empty (monotone stopping rule)
-    init_pos: Dict[int, int] = {0: 1}
-    lab = 0
-    site = 2
-    while True:
-        nxt = lab - 1
-        found = None
-        while found is None:
-            if occupied(site):
-                found = site
-            site += 1
-        if found >= x - nxt:
-            break
-        init_pos[nxt] = found
-        lab = nxt
-    label_min = lab
-
-    # labels >= 1 live on negative sites; besides the y DP rows, include
-    # everything close enough to influence N_t or the observed sites by t_cap
+    # labels >= 1 live on negative sites (site 0 is conditioned empty);
+    # candidates are the y DP rows plus everything within `reach`
     j_floor = min(x - y, 0)
     reach = t_cap + 10.0 * math.sqrt(max(t_cap, 1.0)) + 25.0
-    lab = 0
-    site = -1
-    while True:
-        nxt = lab + 1
-        found = None
-        while found is None:
-            if occupied(site):
-                found = site
-            site -= 1
-        if nxt > y and found < j_floor - reach:
-            break
-        init_pos[nxt] = found
-        lab = nxt
-    label_max = lab
+    left = _occupied_until(
+        seed, rho, -1, -1, int(reach) - j_floor + 4 * y + 64,
+        lambda s, k: (k > y) & (s < j_floor - reach),
+    )
+    # light-cone pruning: a candidate j > y is kept iff its own first n_j
+    # clocks, summed in jump order, reach seg_lo by t_cap
+    tail = left[y:]
+    n_kept = y
+    if len(tail):
+        tail_labs = np.arange(y + 1, y + 1 + len(tail))
+        need = seg_lo - tail
+        walk = np.cumsum(waits.omega_rows(tail_labs, tail + tail_labs + 1, int(need.max())), axis=1)
+        reachable = np.flatnonzero(walk[np.arange(len(tail)), need - 1] <= t_cap)
+        if reachable.size:
+            n_kept += int(reachable[-1]) + 1
 
-    labels = sorted(init_pos)
-    positions = np.array([init_pos[l] for l in labels], dtype=np.int64)
+    # positions in decreasing order from label -len(right) to n_kept
+    positions = np.concatenate((right[::-1], [1], left[:n_kept])).astype(np.int64)
+    label_min = -len(right)
     state = TasepState(
-        label_min=labels[0],
+        label_min=label_min,
         positions=positions,
         time=0.0,
         n_current=0,
@@ -371,7 +393,7 @@ def lpp_bridge_check(
     # staircase {x_j(0) + j < i <= x}; row starts may be negative, so the
     # columns shift by the smallest one, that of row y
     js = np.arange(label_min, y + 1)
-    starts = np.array([init_pos[j] for j in js]) + js + 1
+    starts = positions[: len(js)] + js + 1
     i0 = int(starts[-1])
     clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1)
     l_xy = float(
@@ -381,7 +403,7 @@ def lpp_bridge_check(
         )[0, 0]
     )
 
-    pos_y0 = init_pos[y]
+    pos_y0 = int(positions[y - label_min])
 
     exit_t = queue_exit_time(log, y, x - 1)
     checks = 0
@@ -395,13 +417,8 @@ def lpp_bridge_check(
     if witness is None:
         # single incremental replay of the time-ordered log: track N_t, the
         # occupied count over the height segment, and particle y's position
-        j_site = x - y - 1  # height is probed one site left of the arrival
-        if j_site >= 1:
-            seg_lo, seg_hi = 1, j_site
-        else:
-            seg_lo, seg_hi = j_site + 1, 0
         seg_w = seg_hi - seg_lo + 1
-        occ_in_seg = sum(1 for p in init_pos.values() if seg_lo <= p <= seg_hi)
+        occ_in_seg = int(np.count_nonzero((positions >= seg_lo) & (positions <= seg_hi)))
         n_t = 0
         pos_y = pos_y0
         ev = 0

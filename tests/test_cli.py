@@ -92,6 +92,13 @@ def test_bad_type_rejected(tmp_path):
         ("limit-cdf", {"s_max": -5}),
         ("simulate-lpp", {"n_samples": True}),
         ("limit-cdf", [0.0]),
+        ("simulate-lpp", {"n_samples": 0}),
+        ("simulate-lpp", {"n_samples": -3}),
+        ("compare", {"n_samples": 0}),
+        # FrameError: the scaled point leaves the frame
+        ("simulate-lpp", {"taus": [1e6]}),
+        # DomainError: the Airy tables for tau = 8 pass Ai's supported range
+        ("limit-cdf", {"taus": [0, 8], "s_min": 0, "s_max": 0}),
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, subcommand, user):

@@ -16,6 +16,7 @@ from stasep.experiments import (
     limit_cdf_table,
     mc_vs_limit,
     offchar_gammas,
+    point_variance,
     shift_argument_validate,
     shift_coupling_validate,
     slow_decorrelation_validate,
@@ -168,6 +169,31 @@ def test_gaussian_offchar_small(rho, side):
     assert rep.passed, rep.extras
     with pytest.raises(RefusalError):
         gaussian_offchar_validate(rho, 1.0 / characteristic_ratio(rho), 500, 100, 1)
+
+
+def test_point_variance():
+    # |x/(1-rho)^2 - y/rho^2| / (x + y), on and off the axes; bit for bit the
+    # ray coefficient where x/y is exactly the ray's gamma
+    assert point_variance(0.5, 1600, 400) == gaussian_coefficients(0.5, 4.0)[1]
+    assert point_variance(0.3, 1912, 88) == pytest.approx(
+        abs(1912 / 0.49 - 88 / 0.09) / 2000, rel=1e-12
+    )
+    assert point_variance(0.3, 0, 50) == pytest.approx(1 / 0.09, rel=1e-12)
+    with pytest.raises(RefusalError):
+        point_variance(0.5, 300, 300)
+
+
+@pytest.mark.parametrize("rho, side, point", [(0.02, 0, [2000, 0]), (0.98, 1, [0, 2000])])
+def test_gaussian_offchar_axis_point(rho, side, point):
+    # near rho = 0 or 1 the Gaussian point rounds onto an axis, where G is a
+    # sum of N iid exponentials: its variance per unit N is 1/(1-rho)^2 on
+    # the x-axis and 1/rho^2 on the y-axis (1.041 here), while the ray's
+    # coefficient is 0.781.  Bounds fixed in advance: 1e-12 relative on the
+    # coefficient, 15% on the sample variance (about 3 sd at 1000 samples).
+    rep = gaussian_offchar_validate(rho, offchar_gammas(rho)[side], 2000, 1000, 7)
+    assert rep.extras["point"] == point
+    assert rep.extras["var_coeff"] == pytest.approx(1.0 / 0.98**2, rel=1e-12)
+    assert abs(rep.extras["sample_var"] / rep.extras["var_coeff"] - 1.0) < 0.15
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.3])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stasep import tasep
 from stasep.errors import ParameterError, RefusalError, WindowError
 from stasep.rng import SeedSpec
 from stasep.tasep import (
@@ -104,6 +105,28 @@ def test_window_envelope_guard():
         evolve(st, WaitingTimes(SeedSpec(1, 0)), 100.0)
 
 
+def test_occupied_until_span_changes_nothing():
+    # the bridge draws each side's occupations in one call over a guessed
+    # span, doubled until the stopping rule fires; the sites it returns must
+    # not depend on the guess, and must match a site-by-site walk
+    seed = SeedSpec(47, 3)
+    for origin, step, stop in (
+        (2, 1, lambda s, k: s >= 12 + k),
+        (-1, -1, lambda s, k: (k > 9) & (s < -120)),
+    ):
+        walked, site = [], origin
+        while True:
+            if bernoulli_occupation(seed, site, site, 0.5)[0]:
+                if stop(site, len(walked) + 1):
+                    break
+                walked.append(site)
+            site += step
+        assert len(walked) > 0
+        for span in (1, 4096):
+            got = tasep._occupied_until(seed, 0.5, origin, step, span, stop)
+            assert got.tolist() == walked
+
+
 def test_bridge_small_cases():
     # degenerate smallest case (1,1) and a rectangular one
     for (x, y) in ((1, 1), (1, 5), (6, 1), (4, 4)):
@@ -136,6 +159,151 @@ def test_bridge_other_density():
     for trial in range(40):
         rep = lpp_bridge_check(7, trial, 8, 6, _grid_for(8, 6, rho=0.3), rho=0.3)
         assert rep.ok, rep.witness
+
+
+# BridgeReport fields recorded before the bridge simulated only the labels
+# that can reach an observed site; the pruning must keep every bit.  Covers
+# rho = 1/2 and 0.3, x < y, x > y, x = y + 1 (height probed at site 0),
+# grids cut to half their span (some with no exit event by t_cap), and the
+# negative-row-start instance of test_bridge_negative_row_starts.
+_PINNED = [
+    # (master, index, x, y, rho, grid scale, l_value, exit_time, checks)
+    (11, 300, 14, 18, 0.5, 1.0, 53.12356213473178, 53.12356213473178, 50),
+    (11, 301, 17, 8, 0.5, 1.0, 43.24284553528671, 43.24284553528671, 50),
+    (11, 302, 12, 1, 0.5, 1.0, 25.021129999849617, 25.021129999849617, 50),
+    (11, 303, 15, 15, 0.5, 1.0, 66.42190889929721, 66.42190889929721, 50),
+    (11, 304, 1, 18, 0.5, 1.0, 26.244514628729938, 26.244514628729938, 50),
+    (11, 305, 10, 16, 0.5, 1.0, 40.0870508522314, 40.0870508522314, 50),
+    (11, 306, 14, 14, 0.5, 1.0, 51.78309726737919, 51.78309726737919, 50),
+    (11, 307, 18, 1, 0.5, 1.0, 31.56763865551358, 31.56763865551358, 50),
+    (11, 308, 10, 1, 0.5, 1.0, 28.52622644493436, 28.52622644493436, 50),
+    (11, 309, 19, 20, 0.5, 1.0, 71.69709291521418, 71.69709291521418, 50),
+    (11, 310, 13, 18, 0.5, 1.0, 55.524640136108005, 55.524640136108005, 50),
+    (11, 311, 4, 15, 0.5, 1.0, 42.07989909635588, 42.07989909635588, 50),
+    (11, 312, 10, 4, 0.5, 1.0, 24.162090832699484, 24.162090832699484, 50),
+    (11, 313, 2, 5, 0.5, 1.0, 9.903820547415101, 9.903820547415101, 50),
+    (11, 314, 7, 3, 0.5, 1.0, 20.815263106863675, 20.815263106863675, 50),
+    (11, 315, 9, 16, 0.5, 1.0, 51.722627627498476, 51.722627627498476, 50),
+    (11, 316, 14, 16, 0.5, 1.0, 56.68691243328646, 56.68691243328646, 50),
+    (11, 317, 14, 4, 0.5, 1.0, 39.48716055900506, 39.48716055900506, 50),
+    (11, 318, 4, 1, 0.5, 1.0, 11.531371996794611, 11.531371996794611, 50),
+    (11, 319, 18, 17, 0.5, 1.0, 63.56718593456354, 63.56718593456354, 50),
+    (11, 320, 11, 3, 0.5, 1.0, 25.49198487809405, 25.49198487809405, 50),
+    (11, 321, 20, 2, 0.5, 1.0, 48.36785182432209, 48.36785182432209, 50),
+    (11, 322, 11, 3, 0.5, 1.0, 22.79573200167382, 22.79573200167382, 50),
+    (11, 323, 12, 3, 0.5, 1.0, 22.027506046048195, 22.027506046048195, 50),
+    (11, 400, 2, 1, 0.5, 1.0, 4.0561272539207724, 4.0561272539207724, 50),
+    (11, 401, 4, 3, 0.5, 1.0, 11.663286466713117, 11.663286466713117, 50),
+    (11, 402, 7, 6, 0.5, 1.0, 24.789113602873698, 24.789113602873698, 50),
+    (11, 403, 10, 9, 0.5, 1.0, 39.69479924957119, 39.69479924957119, 50),
+    (11, 404, 13, 12, 0.5, 1.0, 45.136495968555685, 45.136495968555685, 50),
+    (11, 405, 16, 15, 0.5, 1.0, 50.20280495201878, 50.20280495201878, 50),
+    (11, 406, 19, 18, 0.5, 1.0, 88.76047744856263, 88.76047744856263, 50),
+    (11, 407, 20, 19, 0.5, 1.0, 76.6988830303125, 76.6988830303125, 50),
+    (13, 500, 12, 9, 0.3, 1.0, 40.46925714109836, 40.46925714109836, 50),
+    (13, 501, 4, 17, 0.3, 1.0, 43.68798612910025, 43.68798612910025, 50),
+    (13, 502, 1, 10, 0.3, 1.0, 56.42601688589074, 56.42601688589074, 50),
+    (13, 503, 1, 17, 0.3, 1.0, 62.87217815908036, 62.87217815908036, 50),
+    (13, 504, 8, 5, 0.3, 1.0, 17.787595199332735, 17.787595199332735, 50),
+    (13, 505, 13, 1, 0.3, 1.0, 27.969300074657735, 27.969300074657735, 50),
+    (13, 506, 12, 15, 0.3, 1.0, 64.8400550330646, 64.8400550330646, 50),
+    (13, 507, 5, 2, 0.3, 1.0, 9.296657599815937, 9.296657599815937, 50),
+    (13, 508, 14, 10, 0.3, 1.0, 43.31730571599971, 43.31730571599971, 50),
+    (13, 509, 17, 12, 0.3, 1.0, 64.96232886733412, 64.96232886733412, 50),
+    (13, 510, 20, 13, 0.3, 1.0, 60.56436015159874, 60.56436015159874, 50),
+    (13, 511, 16, 14, 0.3, 1.0, 75.31645813669532, 75.31645813669532, 50),
+    (13, 512, 9, 13, 0.3, 1.0, 66.9547251159981, 66.9547251159981, 50),
+    (13, 513, 14, 18, 0.3, 1.0, 57.80280874438005, 57.80280874438005, 50),
+    (13, 514, 4, 11, 0.3, 1.0, 37.15715426095358, 37.15715426095358, 50),
+    (13, 515, 1, 16, 0.3, 1.0, 42.85743616089806, 42.85743616089806, 50),
+    (13, 600, 3, 2, 0.3, 1.0, 13.120635957687298, 13.120635957687298, 50),
+    (13, 601, 8, 7, 0.3, 1.0, 43.23325712256805, 43.23325712256805, 50),
+    (13, 602, 14, 13, 0.3, 1.0, 56.8556236064006, 56.8556236064006, 50),
+    (17, 700, 11, 3, 0.5, 0.5, 27.479533791598268, 27.479533791598268, 50),
+    (17, 701, 2, 2, 0.3, 0.5, 22.302592135815107, None, 50),
+    (17, 702, 9, 19, 0.5, 0.5, 62.237163699665814, None, 50),
+    (17, 703, 2, 8, 0.3, 0.5, 29.554473839450424, None, 50),
+    (17, 704, 1, 13, 0.5, 0.5, 21.44381355642332, 21.44381355642332, 50),
+    (17, 705, 2, 1, 0.3, 0.5, 10.719762806278514, 10.719762806278514, 50),
+    (17, 706, 20, 7, 0.5, 0.5, 40.3674237529398, 40.3674237529398, 50),
+    (17, 707, 18, 15, 0.3, 0.5, 87.4234167332057, None, 50),
+    (11, 800, 1, 20, 0.5, 1.0, 41.622235726184165, 41.622235726184165, 50),
+    (11, 801, 20, 1, 0.5, 1.0, 59.62262223798581, 59.62262223798581, 50),
+    (13, 802, 20, 20, 0.3, 1.0, 96.3083487405815, 96.3083487405815, 50),
+    (2024, 1, 6, 5, 0.5, 1.0, 14.349121714944161, 14.349121714944161, 50),
+]
+
+
+def test_bridge_reports_pinned():
+    assert len(_PINNED) >= 60
+    for master, index, x, y, rho, scale, l_value, exit_time, checks in _PINNED:
+        rep = lpp_bridge_check(master, index, x, y, _grid_for(x, y, rho=rho) * scale, rho=rho)
+        got = (rep.ok, rep.l_value, rep.exit_time, rep.checks, rep.witness)
+        assert got == (True, l_value, exit_time, checks, None), (master, index, x, y, rho)
+
+
+def test_bridge_pruning_keeps_observed_jumps(monkeypatch):
+    # the bridge simulates labels up to the last one whose own clocks can
+    # carry it to seg_lo = min(1, x - y) by t_cap.  Rerunning its simulation
+    # with 40 more particles behind must leave N_t and every jump into a
+    # site >= seg_lo (the height segment, site 1, particle y) unchanged.
+    real_evolve = tasep.evolve
+    runs = []
+
+    def with_more_behind(state, waits, t_end, **kwargs):
+        out, log = real_evolve(state, waits, t_end, **kwargs)
+        back = int(state.positions[-1])
+        occ = bernoulli_occupation(waits.seed, back - 300, back - 1, rho)
+        extra = (back - 300 + np.flatnonzero(occ))[::-1][:40]
+        wide = TasepState(state.label_min, np.concatenate((state.positions, extra)),
+                          state.time, state.n_current, state.window)
+        out_w, log_w = real_evolve(wide, waits, t_end, **kwargs)
+        runs.append((log, out.n_current, log_w, out_w.n_current, int(state.labels[-1])))
+        return out, log
+
+    def observed(log, seg_lo):
+        return [e for e in zip(log.times, log.labels, log.targets) if e[2] >= seg_lo]
+
+    monkeypatch.setattr(tasep, "evolve", with_more_behind)
+    rng = np.random.default_rng(8)
+    tail_crossings = 0
+    for trial in range(40):
+        rho = 0.5 if trial < 30 else 0.3
+        x, y = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+        assert lpp_bridge_check(12, trial, x, y, _grid_for(x, y, rho=rho), rho=rho).ok
+        log, n_t, log_w, n_t_w, last = runs[-1]
+        seg_lo = min(1, x - y)
+        assert n_t == n_t_w and observed(log, seg_lo) == observed(log_w, seg_lo)
+        # the kept tail matters: labels beyond y do enter the observed sites
+        tail_crossings += sum(1 for _, lab, _ in observed(log, seg_lo) if lab > y)
+    assert tail_crossings > 0
+
+
+def test_bridge_detects_a_dropped_crossing(monkeypatch):
+    # with x = y + 1 the height is probed at site 0, where h_t(0) = 2 N_t;
+    # at t = L particle y has just crossed bond 0 -> 1, so h_L(0) = x + y - 1
+    # exactly, and a log missing an earlier crossing (label 1's) must fail
+    # the height form at the grid point t = L
+    real_evolve = tasep.evolve
+
+    def dropping_first_crossing(*args, **kwargs):
+        state, log = real_evolve(*args, **kwargs)
+        k = log.targets.index(1)
+        for column in (log.times, log.labels, log.targets):
+            del column[k]
+        return state, log
+
+    for y in (2, 3, 5, 8):
+        x = y + 1
+        first = lpp_bridge_check(31, y, x, y, _grid_for(x, y))
+        assert first.ok and first.exit_time is not None
+        grid = np.append(_grid_for(x, y), first.l_value)
+        assert lpp_bridge_check(31, y, x, y, grid).ok
+        monkeypatch.setattr(tasep, "evolve", dropping_first_crossing)
+        rep = lpp_bridge_check(31, y, x, y, grid)
+        monkeypatch.undo()
+        assert not rep.ok
+        assert rep.witness.startswith("height/particle mismatch"), rep.witness
 
 
 def test_queue_exit_mapping():
