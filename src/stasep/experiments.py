@@ -12,6 +12,7 @@ is its public evaluator.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -586,9 +587,11 @@ def gaussian_critical_control(
 
 
 def run_parallel(fn, arglists, threads: int):
-    """Order-preserving map, optionally across processes."""
+    """Order-preserving map, optionally across processes.  The pool never
+    has more workers than CPUs, whatever `threads` asks for; the results do
+    not depend on the worker count."""
     if threads <= 1:
         return [fn(*args) for args in arglists]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as ex:
         futures = [ex.submit(fn, *args) for args in arglists]
         return [f.result() for f in futures]

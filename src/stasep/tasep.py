@@ -12,11 +12,9 @@ with T = 0 outside the domain {i - j > x_j(0)}, which is a last-passage
 recursion over a staircase domain; the simulator and the DP compute the
 same max/add float operations, so the bridge comparisons are bit-exact.
 
-The bridge simulates only the particles that can matter: the DP rows, and
-behind them those whose own clocks can carry them to an observed site by
-the last time checked.  A particle's n-th jump comes no earlier than the
-rounded running sum of its first n clocks, and no particle acts on those
-ahead of it, so this light-cone pruning keeps every bit of the result.
+The bridge simulates exactly the particles its DP rows name, labels <= y.
+Those behind particle y cross every bond after it does, so they cannot
+change an outcome of the check (lpp_bridge_check gives the argument).
 """
 
 import heapq
@@ -109,12 +107,17 @@ class JumpLog:
 
     def jump_time(self, i: int, j: int) -> Optional[float]:
         """Time of the jump with clock index (i, j), i.e. particle j into
-        site i - j; None if it has not occurred.  A scan of the log: the
-        bridge makes one lookup per log."""
-        for t, lab, tgt in zip(self.times, self.labels, self.targets):
-            if lab == j and tgt == i - j:
-                return t
-        return None
+        site i - j; None if it has not occurred.  Hops between the log
+        entries of label j (list.index scans in C); the bridge makes one
+        lookup per log."""
+        k = -1
+        try:
+            while True:
+                k = self.labels.index(j, k + 1)
+                if self.targets[k] == i - j:
+                    return self.times[k]
+        except ValueError:
+            return None
 
 
 def stationary_window(obs_lo: int, obs_hi: int, t_end: float) -> Tuple[int, int]:
@@ -161,9 +164,8 @@ def evolve(
 
     The particle with the smallest simulated label is treated as unblocked;
     the caller must size the label range so that unsimulated particles
-    cannot influence the observables (lpp_bridge_check states its label
-    range, margins and pruning rule).  Raises WindowError if any particle
-    escapes the window.
+    cannot influence the observables (lpp_bridge_check states why its label
+    range suffices).  Raises WindowError if any particle escapes the window.
     """
     if t_end < state.time:
         raise ParameterError("t_end precedes current state time")
@@ -321,21 +323,17 @@ def lpp_bridge_check(
     (though not in the scaling limit), hence the -1 offsets here.
 
     Simulated labels.  Labels <= 0 sit on sites >= 1 and are kept while
-    their DP row is non-empty; labels 1..y are always kept (the DP rows,
-    particle y and its exit time).  The replay observes only jumps into
-    sites >= seg_lo = min(1, x-y): N_t counts entries to site 1, the height
-    segment [seg_lo, seg_hi] entries and exits.  A label j > y starts at
-    x_j(0) <= -j < seg_lo and is a candidate only if it lies within
-    reach = t_cap + 10 sqrt(max(t_cap, 1)) + 25 of min(x-y, 0).  A
-    candidate is kept iff the running sum (np.cumsum, rounded in jump
-    order) of its own first n_j = seg_lo - x_j(0) clocks is <= t_cap, and
-    every label up to the largest kept one is simulated.  Dropping the rest
-    changes no bit of the report:
-      - each jump time is fl(arm time + clock) with the arm time no earlier
-        than the previous jump, so by monotone rounding the n-th jump time
-        is >= that running sum: a dropped label never reaches seg_lo by t_cap;
-      - a particle never acts on the labels ahead of it, so no kept label
-        moves differently.
+    their DP row is non-empty; labels 1..y are the remaining DP rows, and
+    particle y gives the exit time.  No label > y is simulated, and this
+    changes no outcome of the check.  Such a label starts left of
+    seg_lo = min(1, x-y) and crosses each bond only after particle y has.
+    The replay observes only jumps into sites >= seg_lo: N_t counts entries
+    to site 1, and the height segment [seg_lo, seg_hi] counts entries and
+    exits.  A label > y entering site 1 raises N_t and the segment count
+    together, so h(x-y-1) is unchanged.  Any other observed jump by such a
+    label comes after particle y reached x-y; by then the particle form
+    holds, and h only grows.  So every report on a passing instance is
+    unchanged; only the h= value printed in a failing witness could differ.
     """
     if x < 1 or y < 1:
         raise ParameterError("bridge requires x, y >= 1")
@@ -354,38 +352,18 @@ def lpp_bridge_check(
     # (monotone stopping rule)
     right = _occupied_until(seed, rho, 2, 1, 4 * x + 64, lambda s, k: s >= x + k)
 
-    # labels >= 1 live on negative sites (site 0 is conditioned empty);
-    # candidates are the y DP rows plus everything within `reach`
-    j_floor = min(x - y, 0)
-    reach = t_cap + 10.0 * math.sqrt(max(t_cap, 1.0)) + 25.0
-    left = _occupied_until(
-        seed, rho, -1, -1, int(reach) - j_floor + 4 * y + 64,
-        lambda s, k: (k > y) & (s < j_floor - reach),
-    )
-    # light-cone pruning: a candidate j > y is kept iff its own first n_j
-    # clocks, summed in jump order, reach seg_lo by t_cap
-    tail = left[y:]
-    n_kept = y
-    if len(tail):
-        tail_labs = np.arange(y + 1, y + 1 + len(tail))
-        need = seg_lo - tail
-        walk = np.cumsum(waits.omega_rows(tail_labs, tail + tail_labs + 1, int(need.max())), axis=1)
-        reachable = np.flatnonzero(walk[np.arange(len(tail)), need - 1] <= t_cap)
-        if reachable.size:
-            n_kept += int(reachable[-1]) + 1
+    # labels 1..y live on negative sites (site 0 is conditioned empty)
+    left = _occupied_until(seed, rho, -1, -1, 4 * y + 64, lambda s, k: k > y)
 
-    # positions in decreasing order from label -len(right) to n_kept
-    positions = np.concatenate((right[::-1], [1], left[:n_kept])).astype(np.int64)
+    # positions in decreasing order from label -len(right) to y
+    positions = np.concatenate((right[::-1], [1], left)).astype(np.int64)
     label_min = -len(right)
     state = TasepState(
         label_min=label_min,
         positions=positions,
         time=0.0,
         n_current=0,
-        window=(
-            min(int(positions.min()), j_floor) - 1,
-            int(positions.max() + reach + x + 10),
-        ),
+        window=(int(positions.min()), int(positions.max())),
     )
     state, log = evolve(state, waits, t_cap, record=True, check_exclusion=True)
 

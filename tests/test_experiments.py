@@ -1,9 +1,13 @@
 """Fast variants of the validation harnesses (the full-size runs live in
 test_acceptance)."""
 
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from stasep import experiments
 from stasep.errors import ParameterError, RefusalError
 from stasep.experiments import (
     _batched_g,
@@ -111,6 +115,35 @@ def test_batched_g_same_bits_with_a_pool():
     pooled = _batched_g(params, 5, 300, pts, batch=64, threads=2)
     assert serial.shape == (300, 2)
     assert np.array_equal(serial, pooled)
+
+
+def test_pool_capped_at_cpu_count(monkeypatch):
+    # a huge thread count must not start a worker per task: the pool is
+    # capped at the CPU count, and the split changes no bit.  The fake pool
+    # runs the tasks in-process and records the worker count it was given
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    params = ModelParams.two_sided(0.5)
+    pts = [(30, 20), (12, 25)]
+    serial = _batched_g(params, 5, 300, pts, batch=64, threads=1)
+    assert np.array_equal(_batched_g(params, 5, 300, pts, batch=64, threads=10**4), serial)
+    assert sizes and all(1 <= n <= os.cpu_count() for n in sizes)
 
 
 def test_tandem_queue_sim_counts():

@@ -161,11 +161,13 @@ def test_bridge_other_density():
         assert rep.ok, rep.witness
 
 
-# BridgeReport fields recorded before the bridge simulated only the labels
-# that can reach an observed site; the pruning must keep every bit.  Covers
+# BridgeReport fields recorded while the bridge still simulated particles
+# behind label y; simulating labels <= y only must keep every bit.  Covers
 # rho = 1/2 and 0.3, x < y, x > y, x = y + 1 (height probed at site 0),
-# grids cut to half their span (some with no exit event by t_cap), and the
-# negative-row-start instance of test_bridge_negative_row_starts.
+# grids cut to half their span (some with no exit event by t_cap), the
+# negative-row-start instance of test_bridge_negative_row_starts, and
+# rho = 0.1 and 0.9 on grids stretched by 1.5, where 7 to 59 labels behind
+# y entered site 1 by t_cap.
 _PINNED = [
     # (master, index, x, y, rho, grid scale, l_value, exit_time, checks)
     (11, 300, 14, 18, 0.5, 1.0, 53.12356213473178, 53.12356213473178, 50),
@@ -231,52 +233,59 @@ _PINNED = [
     (11, 801, 20, 1, 0.5, 1.0, 59.62262223798581, 59.62262223798581, 50),
     (13, 802, 20, 20, 0.3, 1.0, 96.3083487405815, 96.3083487405815, 50),
     (2024, 1, 6, 5, 0.5, 1.0, 14.349121714944161, 14.349121714944161, 50),
+    (19, 900, 3, 9, 0.1, 1.5, 54.1848442614444, 54.1848442614444, 50),
+    (19, 901, 12, 4, 0.1, 1.5, 44.903825460697504, 44.903825460697504, 50),
+    (19, 902, 8, 7, 0.1, 1.5, 81.69055366411062, 81.69055366411062, 50),
+    (19, 903, 15, 15, 0.1, 1.5, 170.21415442959213, 170.21415442959213, 50),
+    (19, 904, 1, 20, 0.1, 1.5, 256.1749101737129, 256.1749101737129, 50),
+    (19, 905, 9, 3, 0.9, 1.5, 106.50444721681085, 106.50444721681085, 50),
+    (19, 906, 4, 12, 0.9, 1.5, 32.04103535763461, 32.04103535763461, 50),
+    (19, 907, 11, 10, 0.9, 1.5, 66.47729550323443, 66.47729550323443, 50),
+    (19, 908, 20, 1, 0.9, 1.5, 117.36937823640855, 117.36937823640855, 50),
+    (19, 909, 14, 17, 0.9, 1.5, 191.29798045549862, 191.29798045549862, 50),
 ]
 
 
 def test_bridge_reports_pinned():
-    assert len(_PINNED) >= 60
+    assert len(_PINNED) >= 70
     for master, index, x, y, rho, scale, l_value, exit_time, checks in _PINNED:
         rep = lpp_bridge_check(master, index, x, y, _grid_for(x, y, rho=rho) * scale, rho=rho)
         got = (rep.ok, rep.l_value, rep.exit_time, rep.checks, rep.witness)
         assert got == (True, l_value, exit_time, checks, None), (master, index, x, y, rho)
 
 
-def test_bridge_pruning_keeps_observed_jumps(monkeypatch):
-    # the bridge simulates labels up to the last one whose own clocks can
-    # carry it to seg_lo = min(1, x - y) by t_cap.  Rerunning its simulation
-    # with 40 more particles behind must leave N_t and every jump into a
-    # site >= seg_lo (the height segment, site 1, particle y) unchanged.
+def test_bridge_ignores_labels_behind_y(monkeypatch):
+    # the bridge simulates labels <= y only.  Handing it the log of a run
+    # with the next 40 particles behind label y as well must give the same
+    # report, although those particles do jump into observed sites
     real_evolve = tasep.evolve
-    runs = []
+    behind = []
 
     def with_more_behind(state, waits, t_end, **kwargs):
-        out, log = real_evolve(state, waits, t_end, **kwargs)
         back = int(state.positions[-1])
         occ = bernoulli_occupation(waits.seed, back - 300, back - 1, rho)
         extra = (back - 300 + np.flatnonzero(occ))[::-1][:40]
         wide = TasepState(state.label_min, np.concatenate((state.positions, extra)),
                           state.time, state.n_current, state.window)
-        out_w, log_w = real_evolve(wide, waits, t_end, **kwargs)
-        runs.append((log, out.n_current, log_w, out_w.n_current, int(state.labels[-1])))
+        out, log = real_evolve(wide, waits, t_end, **kwargs)
+        last = int(state.labels[-1])
+        behind.append(sum(1 for lab, tgt in zip(log.labels, log.targets)
+                          if lab > last and tgt >= seg_lo))
         return out, log
 
-    def observed(log, seg_lo):
-        return [e for e in zip(log.times, log.labels, log.targets) if e[2] >= seg_lo]
-
-    monkeypatch.setattr(tasep, "evolve", with_more_behind)
     rng = np.random.default_rng(8)
-    tail_crossings = 0
     for trial in range(40):
         rho = 0.5 if trial < 30 else 0.3
         x, y = int(rng.integers(1, 21)), int(rng.integers(1, 21))
-        assert lpp_bridge_check(12, trial, x, y, _grid_for(x, y, rho=rho), rho=rho).ok
-        log, n_t, log_w, n_t_w, last = runs[-1]
         seg_lo = min(1, x - y)
-        assert n_t == n_t_w and observed(log, seg_lo) == observed(log_w, seg_lo)
-        # the kept tail matters: labels beyond y do enter the observed sites
-        tail_crossings += sum(1 for _, lab, _ in observed(log, seg_lo) if lab > y)
-    assert tail_crossings > 0
+        args = (12, trial, x, y, _grid_for(x, y, rho=rho))
+        narrow = lpp_bridge_check(*args, rho=rho)
+        assert narrow.ok, narrow.witness
+        monkeypatch.setattr(tasep, "evolve", with_more_behind)
+        assert lpp_bridge_check(*args, rho=rho) == narrow, (x, y, rho)
+        monkeypatch.undo()
+    # not vacuous: labels beyond y do jump into the observed sites
+    assert sum(behind) > 0
 
 
 def test_bridge_detects_a_dropped_crossing(monkeypatch):
