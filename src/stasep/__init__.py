@@ -56,7 +56,6 @@ from .specfun import (
     QuadratureRule,
     airy_ai,
     gaussian_tail_integral,
-    integrate_semiinfinite,
     legendre_rule,
 )
 from .tasep import (

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .experiments import (
     burke_validate,
-    gaussian_critical_control,
     gaussian_offchar_validate,
     invertibility_validate,
     kernel_dual_validate,
@@ -182,13 +181,17 @@ def cmd_simulate_tasep(cfg, outdir: Path) -> int:
     return 0
 
 
+def _s_grid(cfg) -> np.ndarray:
+    """s_min, s_min + s_step, ... up to s_max (included up to rounding)."""
+    return np.arange(cfg["s_min"], cfg["s_max"] + 0.5 * cfg["s_step"], cfg["s_step"])
+
+
 def cmd_limit_cdf(cfg, outdir: Path) -> int:
     quad = QuadratureConfig(n=cfg["quad_n"], big_lambda=cfg["quad_lambda"])
     taus = tuple(float(t) for t in cfg["taus"])
     m = len(taus)
-    grid = np.arange(cfg["s_min"], cfg["s_max"] + 0.5 * cfg["s_step"], cfg["s_step"])
     rows = []
-    for s in grid:
+    for s in _s_grid(cfg):
         res = limit_cdf(MultiPointSpec(taus, (float(s),) * m), quad)
         rows.append(tuple(float(s) for _ in range(m)) + (res.f_value, res.det_value, res.g_value))
     header = [f"s_{k+1}" for k in range(m)] + ["F", "det", "g"]
@@ -199,8 +202,7 @@ def cmd_limit_cdf(cfg, outdir: Path) -> int:
 def cmd_compare(cfg, outdir: Path) -> int:
     frame = ScalingFrame(T=cfg["T"], rho=cfg["rho"])
     taus = [float(t) for t in cfg["taus"]]
-    grid1 = np.arange(cfg["s_min"], cfg["s_max"] + 0.5 * cfg["s_step"], cfg["s_step"])
-    svecs = [[float(s)] * len(taus) for s in grid1]
+    svecs = [[float(s)] * len(taus) for s in _s_grid(cfg)]
     rep = mc_vs_limit(
         frame, taus, cfg["n_samples"], cfg["master_seed"], svecs,
         threshold=cfg["threshold"], threads=cfg["threads"],
@@ -242,10 +244,17 @@ def _validate_battery(cfg):
     yield slow_decorrelation_validate(frame, 0.25, 0.25, 0.1, 0.25, n_sd, seed)
     yield slow_decorrelation_negative_control(frame, 0.25, 0.25, 0.1, 0.10, n_sd, seed)
     n_gauss = 1500 if quick else 5000
-    above, below, _ = offchar_gammas(rho)
+    above, below = offchar_gammas(rho)
     yield gaussian_offchar_validate(rho, above, 2000, n_gauss, seed, threads=threads)
     yield gaussian_offchar_validate(rho, below, 2000, n_gauss, seed, threads=threads)
-    yield gaussian_critical_control(rho, 2000, n_gauss, seed, threads=threads)
+    # the paper's theorem at tau = 0: MC against the Baik-Rains law F_0 on
+    # compare's s-grid, sup gap <= 0.05 (compare's sizes when quick, the
+    # acceptance suite's headline sizes otherwise)
+    yield mc_vs_limit(
+        ScalingFrame(T=500.0 if quick else 1000.0, rho=rho), (0.0,),
+        10**4 if quick else 2 * 10**4, seed,
+        [[float(s)] for s in _s_grid(_DEFAULTS["compare"])], threads=threads,
+    )
     yield shift_coupling_validate(0.25, 0.25, (3, 3), 200, seed)
 
 

@@ -56,7 +56,6 @@ class EmpiricalCDF:
             raise RefusalError("no samples")
         self.samples = samples
         self.n = samples.shape[0]
-        self.sorted_cols = [np.sort(samples[:, k]) for k in range(samples.shape[1])]
 
     def joint_prob(self, thresholds) -> Tuple[float, float]:
         """(estimate, binomial standard error) of P(all coords <= thresholds)."""
@@ -64,14 +63,6 @@ class EmpiricalCDF:
         p = float(np.mean(np.all(self.samples <= thr[None, :], axis=1)))
         se = math.sqrt(max(p * (1.0 - p), 1.0 / self.n) / self.n)
         return p, se
-
-    def marginal_cdf(self, k: int, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.searchsorted(self.sorted_cols[k], s, side="right") / self.n
-
-
-def empirical_cdf_joint(samples, thresholds) -> Tuple[float, float]:
-    return EmpiricalCDF(samples).joint_prob(thresholds)
 
 
 def _chunk_g(params, master_seed, lo, hi, points, batch):
@@ -477,12 +468,11 @@ def burke_validate(
 # Gaussian fluctuations off the characteristic direction
 
 
-def offchar_gammas(rho: float) -> Tuple[float, float, float]:
-    """gamma = x/y of the two Gaussian points and of the critical control:
-    4 gamma_c, gamma_c/4 and gamma_c (1 + 1e-9), where gamma_c = (1-rho)^2/rho^2
-    is x/y on the characteristic direction."""
+def offchar_gammas(rho: float) -> Tuple[float, float]:
+    """gamma = x/y of the two Gaussian points, 4 gamma_c and gamma_c/4, where
+    gamma_c = (1-rho)^2/rho^2 is x/y on the characteristic direction."""
     gc = 1.0 / characteristic_ratio(rho)
-    return 4.0 * gc, gc / 4.0, gc * (1.0 + 1e-9)
+    return 4.0 * gc, gc / 4.0
 
 
 def gaussian_coefficients(rho: float, gamma: float):
@@ -514,17 +504,27 @@ def point_variance(rho: float, x: int, y: int) -> float:
     return gaussian_coefficients(rho, x / y)[1]
 
 
-def _offchar_ks(
-    rho: float, gamma: float, N: int, variance, n_samples: int, master_seed: int,
-    threshold: float, threads: int,
+def gaussian_offchar_validate(
+    rho: float,
+    gamma: float,
+    n_scale: int,
+    n_samples: int,
+    master_seed: int,
+    threshold: float = 0.05,
+    threads: int = 1,
 ) -> ValidationReport:
-    """KS test against N(0,1) of G at the lattice point (x, y) nearest the
-    gamma ray of scale N, centred on its exact mean and divided by
-    sqrt(variance(x, y) N)."""
+    """KS test of G(x, y) at the lattice point nearest the gamma ray of scale
+    N = n_scale, centred on its exact mean and standardized by the point's
+    own variance (point_variance), against N(0,1) away from the
+    characteristic direction.  Near rho = 0 or 1 the point can round onto an
+    axis, where the ray's coefficient would misstate the variance by a
+    quarter."""
+    gaussian_coefficients(rho, gamma)  # refuses the characteristic ray
     t0 = time.time()
+    N = int(n_scale)
     y = int(round(N / (1.0 + gamma)))
     x = N - y
-    var = variance(x, y)
+    var = point_variance(rho, x, y)
     mu = x / (1.0 - rho) + y / rho  # exact lattice mean
     g = _batched_g(ModelParams.two_sided(rho), master_seed, n_samples, [(x, y)], threads=threads)[:, 0]
     centered = (g - mu) / math.sqrt(N)
@@ -545,42 +545,6 @@ def _offchar_ks(
             "point": [x, y],
         },
     )
-
-
-def gaussian_offchar_validate(
-    rho: float,
-    gamma: float,
-    n_scale: int,
-    n_samples: int,
-    master_seed: int,
-    threshold: float = 0.05,
-    threads: int = 1,
-) -> ValidationReport:
-    """KS test of G(x, y) at the lattice point nearest the gamma ray, centred
-    on its exact mean and standardized by the point's own variance
-    (point_variance), against N(0,1) away from the characteristic direction.
-    Near rho = 0 or 1 the point can round onto an axis, where the ray's
-    coefficient would misstate the variance by a quarter."""
-    gaussian_coefficients(rho, gamma)  # refuses the characteristic ray
-    return _offchar_ks(
-        rho, gamma, int(n_scale), lambda x, y: point_variance(rho, x, y),
-        n_samples, master_seed, threshold, threads,
-    )
-
-
-def gaussian_critical_control(
-    rho: float, n_scale: int, n_samples: int, master_seed: int, threads: int = 1
-) -> ValidationReport:
-    """Negative control a relative 1e-9 off the characteristic: passes when
-    KS exceeds 0.05.  It standardizes by the ray's variance coefficient,
-    about 2e-9 there, so KS reads about 0.5 whatever the law of G: this
-    checks only that the coefficient vanishes."""
-    gamma = offchar_gammas(rho)[2]
-    var = gaussian_coefficients(rho, gamma)[1]
-    rep = _offchar_ks(
-        rho, gamma, int(n_scale), lambda x, y: var, n_samples, master_seed, 0.05, threads
-    )
-    return replace(rep, name="gaussian-critical-control", passed=rep.statistic > 0.05)
 
 
 # ---------------------------------------------------------------------------

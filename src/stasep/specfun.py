@@ -28,7 +28,7 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy.special import erfc
 
-from .errors import AccuracyError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 AIRY_MIN, AIRY_MAX = -40.0, 200.0
 
@@ -242,47 +242,3 @@ def composite_rule(lo: float, hi: float, n_panels: int, nodes_per_panel: int) ->
     return QuadratureRule(
         nodes=(half * t + mid).ravel(), weights=(half * w).ravel(), interval=(lo, hi)
     )
-
-
-def semiinfinite_rule(
-    lo: float, length: float, panel_width: float = 2.0, nodes_per_panel: int = 24
-) -> QuadratureRule:
-    """Truncated [lo, lo+length) rule for superexponentially decaying integrands."""
-    n_panels = max(2, int(np.ceil(length / panel_width)))
-    return composite_rule(lo, lo + length, n_panels, nodes_per_panel)
-
-
-def integrate_semiinfinite(
-    f: Callable,
-    lo: float,
-    decay_scale: float,
-    bound_coeff: float = 1.0,
-    tail_tol: float = 1e-13,
-    rel_tol: float = 1e-10,
-    abs_floor: float = 1e-13,
-) -> float:
-    """integral_{lo}^{inf} f, for |f(x)| <= bound_coeff * exp(-x/decay_scale)
-    eventually (caller-asserted decay certificate).
-
-    Truncates where the certified tail drops below tail_tol, then integrates
-    with composite Gauss-Legendre panels; the result must survive a
-    panel-doubling Cauchy check or an AccuracyError (carrying both
-    estimates) is raised.
-    """
-    if not decay_scale > 0:
-        raise ParameterError("decay_scale must be positive")
-    lam = decay_scale * max(
-        np.log(max(bound_coeff, 1e-300) * decay_scale / tail_tol), 5.0
-    )
-    lam = max(lam, 4.0 * decay_scale, 1.0)
-    rule = semiinfinite_rule(lo, lam, panel_width=min(2.0, lam / 4.0))
-    coarse = rule.integrate(f)
-    rule2 = semiinfinite_rule(lo, lam, panel_width=min(1.0, lam / 8.0))
-    fine = rule2.integrate(f)
-    if abs(fine - coarse) > max(abs_floor, rel_tol * abs(fine)):
-        raise AccuracyError(
-            f"quadrature Cauchy check failed: {coarse!r} vs {fine!r}",
-            coarse=coarse,
-            fine=fine,
-        )
-    return fine

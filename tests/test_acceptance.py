@@ -14,7 +14,6 @@ import pytest
 
 from stasep.experiments import (
     burke_validate,
-    gaussian_critical_control,
     gaussian_offchar_validate,
     invertibility_validate,
     kernel_dual_validate,
@@ -30,6 +29,7 @@ from stasep.experiments import (
 from stasep.limitlaw import (
     MultiPointSpec,
     QuadratureConfig,
+    _tail_integrals,
     convergence_gap,
     fredholm_det,
     limit_cdf,
@@ -37,7 +37,7 @@ from stasep.limitlaw import (
 from stasep.lpp import brute_force_last_passage, last_passage
 from stasep.rng import SeedSpec
 from stasep.scaling import ScalingFrame
-from stasep.specfun import airy_ai, integrate_semiinfinite
+from stasep.specfun import airy_ai
 from stasep.weights import ModelParams, WeightOracle
 
 mp.mp.dps = 30
@@ -105,7 +105,8 @@ def test_c03_airy_layer():
         abs(float(stencil @ airy_ai(x + h * np.arange(-2.0, 3.0))) - x * airy_ai(float(x)))
         for x in range(-10, 11)
     )
-    e_int = abs(integrate_semiinfinite(lambda x: airy_ai(x), 0.0, 1.0, bound_coeff=0.5) - 1.0 / 3.0)
+    # int_0^inf Ai = 1/3 through the limit law's own tail-integral route
+    e_int = abs(float(_tail_integrals(0.0, 0.0, np.array([0.0]))[0]) - 1.0 / 3.0)
     ok = e_ai0 <= 1e-10 and resid <= 1e-8 and e_int <= 1e-10
     _report(
         3,
@@ -356,17 +357,13 @@ def test_c11_gaussian_off_characteristic():
     t0 = time.time()
     problems = []
     # at rho = 1/2: gamma_c = 1, so the points are gamma = 4 and 1/4
-    gamma_above, gamma_below, _ = offchar_gammas(0.5)
+    gamma_above, gamma_below = offchar_gammas(0.5)
     above = gaussian_offchar_validate(0.5, gamma_above, 2000, 5000, MASTER + 40)
     if not above.passed:
         problems.append(f"gamma=4 KS {above.statistic:.4f}")
     below = gaussian_offchar_validate(0.5, gamma_below, 2000, 5000, MASTER + 41)
     if not below.passed:
         problems.append(f"gamma=1/4 KS {below.statistic:.4f}")
-    # expected failure on the characteristic direction
-    ctrl = gaussian_critical_control(0.5, 2000, 1500, MASTER + 42)
-    if not ctrl.passed:
-        problems.append(f"critical control unexpectedly normal ({ctrl.statistic:.4f})")
     _report(
         11,
         "Gaussian fluctuations off the characteristic",
@@ -374,7 +371,6 @@ def test_c11_gaussian_off_characteristic():
         "; ".join(problems)
         if problems
         else f"KS {above.statistic:.4f}/{below.statistic:.4f} "
-        f"(var coeff {above.extras['var_coeff']:.3f}/{below.extras['var_coeff']:.3f}), "
-        f"control KS {ctrl.statistic:.4f}",
+        f"(var coeff {above.extras['var_coeff']:.3f}/{below.extras['var_coeff']:.3f})",
         t0,
     )

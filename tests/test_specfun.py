@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from stasep import specfun
-from stasep.errors import AccuracyError, DomainError, ParameterError
+from stasep.errors import DomainError, ParameterError
 from stasep.specfun import (
     QuadratureRule,
     airy_ai,
     composite_rule,
     gaussian_tail_integral,
-    integrate_semiinfinite,
     legendre_rule,
 )
 
@@ -19,7 +18,6 @@ mp.mp.dps = 30
 
 # analytic values, frozen from 30-digit evaluation
 AI_ZERO = 0.35502805388781723926  # 3^(-2/3)/Gamma(2/3)
-DAI_ZERO_SQ = 0.06698748377966399  # Ai'(0)^2 = (3^(-1/3)/Gamma(1/3))^2
 FIRST_AIRY_ZERO = -2.33810741045976704
 
 
@@ -139,30 +137,6 @@ def test_quadrature_convergence_order():
     e1 = abs(legendre_rule(8, 0.0, 2.0).integrate(f) - exact)
     e2 = abs(legendre_rule(16, 0.0, 2.0).integrate(f) - exact)
     assert e1 / max(e2, 1e-16) >= 1e3
-
-
-def test_integrate_semiinfinite_exponential():
-    v = integrate_semiinfinite(lambda x: np.exp(-x), 0.0, 1.0)
-    assert v == pytest.approx(1.0, abs=1e-12)
-
-
-def test_integrate_semiinfinite_airy():
-    # int_0^inf Ai = 1/3
-    v = integrate_semiinfinite(lambda x: airy_ai(x), 0.0, 1.0, bound_coeff=0.5)
-    assert v == pytest.approx(1.0 / 3.0, abs=1e-10)
-    # int_0^inf Ai^2 = Ai'(0)^2
-    v = integrate_semiinfinite(lambda x: airy_ai(x) ** 2, 0.0, 1.0)
-    assert v == pytest.approx(DAI_ZERO_SQ, abs=1e-10)
-
-
-def test_integrate_semiinfinite_cauchy_failure():
-    # a discontinuous integrand defeats the smoothness assumption and the
-    # panel-doubling check must flag it, carrying both estimates
-    f = lambda x: np.exp(-x) * (1.0 + 0.5 * (np.sin(7.0 * x) > 0))
-    with pytest.raises(AccuracyError) as err:
-        integrate_semiinfinite(f, 0.0, 1.0)
-    assert err.value.coarse is not None
-    assert err.value.fine is not None
 
 
 def _maclaurin_40_terms(x):
