@@ -13,18 +13,26 @@ import numpy as np
 from stasep import ScalingFrame
 from stasep.experiments import limit_cdf_table, mc_vs_limit
 
-rho = 0.5
-svecs = [[s] for s in np.arange(-3.0, 3.01, 0.5)]
-print("evaluating the limit curve once...")
-table = limit_cdf_table([0.0], svecs)
 
-print(f"{'T':>6} {'samples':>8} {'sup |emp - F|':>14}")
-for T in (256.0, 512.0, 1024.0):
-    rep = mc_vs_limit(
-        ScalingFrame(T=T, rho=rho), [0.0], 12000, 123, svecs, limit_values=table
-    )
-    print(
-        f"{T:6.0f} {rep.config['n_samples']:8d} {rep.statistic:14.4f}"
-        f"   (mean s = {rep.extras['mean_s'][0]:+.4f}, var = {rep.extras['var_s'][0]:.3f})"
-    )
-print("limit variance is ~1.15 and the mean is exactly 0 for this model")
+def main():
+    rho = 0.5
+    svecs = [[s] for s in np.arange(-3.0, 3.01, 0.5)]
+    print("evaluating the limit curve once...")
+    table = limit_cdf_table([0.0], svecs)
+
+    print(f"{'T':>6} {'samples':>8} {'sup |emp - F|':>14}")
+    for T in (256.0, 512.0, 1024.0):
+        rep = mc_vs_limit(
+            ScalingFrame(T=T, rho=rho), [0.0], 12000, 123, svecs, limit_values=table
+        )
+        print(
+            f"{T:6.0f} {rep.config['n_samples']:8d} {rep.statistic:14.4f}"
+            f"   (mean s = {rep.extras['mean_s'][0]:+.4f}, var = {rep.extras['var_s'][0]:.3f})"
+        )
+    print("limit variance is ~1.15 and the mean is exactly 0 for this model")
+
+
+# Monte Carlo sweeps may run in worker processes, which re-import this file
+# under start methods other than fork
+if __name__ == "__main__":
+    main()

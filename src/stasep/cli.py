@@ -17,7 +17,6 @@ byte-identical bodies.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .errors import (
     RefusalError,
 )
 from .experiments import (
+    _batched_g,
     burke_validate,
     gaussian_offchar_validate,
     invertibility_validate,
@@ -46,7 +46,6 @@ from .experiments import (
     slow_decorrelation_validate,
 )
 from .limitlaw import MultiPointSpec, QuadratureConfig, limit_cdf
-from .lpp import last_passage_batch
 from .rng import SeedSpec
 from .scaling import ScalingFrame, rescale_at_point, scale_dpp
 from .tasep import WaitingTimes, evolve, init_stationary, stationary_window
@@ -67,11 +66,11 @@ _DEFAULTS = {
     },
     "compare": {
         "rho": 0.5, "T": 500.0, "taus": [0.0], "n_samples": 10000,
-        "master_seed": 1, "threads": 1, "threshold": 0.05,
+        "master_seed": 1, "threshold": 0.05,
         "s_min": -3.0, "s_max": 3.0, "s_step": 0.5,
     },
     "validate": {
-        "rho": 0.5, "master_seed": 1, "threads": 1, "quick": True,
+        "rho": 0.5, "master_seed": 1, "quick": True,
     },
 }
 
@@ -111,17 +110,12 @@ def load_config(subcommand: str, path):
             raise ConfigError("config key 'obs_lo' must be <= obs_hi")
         if "n_samples" in cfg and cfg["n_samples"] < 1:
             raise ConfigError("config key 'n_samples' must be >= 1")
-    threads_env = os.environ.get("THREADS")
-    if threads_env and "threads" in cfg:
-        cfg["threads"] = int(threads_env)
     return cfg
 
 
 def config_hash(cfg) -> str:
-    """Hash of the settings that determine the results; `threads` only
-    spreads the same work over processes, so it is left out."""
-    kept = {k: v for k, v in cfg.items() if k != "threads"}
-    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()[:16]
+    """Hash of the settings, which determine the results."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def provenance_lines(subcommand, cfg):
@@ -149,10 +143,7 @@ def cmd_simulate_lpp(cfg, outdir: Path) -> int:
     frame = ScalingFrame(T=cfg["T"], rho=cfg["rho"])
     taus = [float(t) for t in cfg["taus"]]
     pts = [scale_dpp(frame, tau, 0.0)[:2] for tau in taus]
-    g = last_passage_batch(
-        ModelParams.two_sided(cfg["rho"]), cfg["master_seed"],
-        range(cfg["n_samples"]), pts,
-    )
+    g = _batched_g(ModelParams.two_sided(cfg["rho"]), cfg["master_seed"], cfg["n_samples"], pts)
     rows = []
     for idx in range(cfg["n_samples"]):
         for k, (tau, (x, y)) in enumerate(zip(taus, pts)):
@@ -204,8 +195,7 @@ def cmd_compare(cfg, outdir: Path) -> int:
     taus = [float(t) for t in cfg["taus"]]
     svecs = [[float(s)] * len(taus) for s in _s_grid(cfg)]
     rep = mc_vs_limit(
-        frame, taus, cfg["n_samples"], cfg["master_seed"], svecs,
-        threshold=cfg["threshold"], threads=cfg["threads"],
+        frame, taus, cfg["n_samples"], cfg["master_seed"], svecs, threshold=cfg["threshold"]
     )
     _write_report(outdir, "compare", cfg, [rep])
     return 0 if rep.passed else 1
@@ -229,7 +219,6 @@ def _validate_battery(cfg):
     rho = cfg["rho"]
     seed = cfg["master_seed"]
     quick = cfg["quick"]
-    threads = cfg["threads"]
     yield pathwise_bridge_validate(rho, 300 if quick else 10000, seed)
     yield kernel_dual_validate(seed)
     yield invertibility_validate(
@@ -245,15 +234,15 @@ def _validate_battery(cfg):
     yield slow_decorrelation_negative_control(frame, 0.25, 0.25, 0.1, 0.10, n_sd, seed)
     n_gauss = 1500 if quick else 5000
     above, below = offchar_gammas(rho)
-    yield gaussian_offchar_validate(rho, above, 2000, n_gauss, seed, threads=threads)
-    yield gaussian_offchar_validate(rho, below, 2000, n_gauss, seed, threads=threads)
+    yield gaussian_offchar_validate(rho, above, 2000, n_gauss, seed)
+    yield gaussian_offchar_validate(rho, below, 2000, n_gauss, seed)
     # the paper's theorem at tau = 0: MC against the Baik-Rains law F_0 on
     # compare's s-grid, sup gap <= 0.05 (compare's sizes when quick, the
     # acceptance suite's headline sizes otherwise)
     yield mc_vs_limit(
         ScalingFrame(T=500.0 if quick else 1000.0, rho=rho), (0.0,),
         10**4 if quick else 2 * 10**4, seed,
-        [[float(s)] for s in _s_grid(_DEFAULTS["compare"])], threads=threads,
+        [[float(s)] for s in _s_grid(_DEFAULTS["compare"])],
     )
     yield shift_coupling_validate(0.25, 0.25, (3, 3), 200, seed)
 

@@ -6,9 +6,11 @@ a ValidationReport; the acceptance tests call the same functions.
 
 Everything here is deterministic given (parameters, master_seed): sampling
 is counter-based, aggregation is order-independent, and the statistical
-routines (KS, chi-square) are scipy's.  The MC routes deliberately consume
-no special-function code; their only contact point with the limit-law stack
-is its public evaluator.
+routines (KS, chi-square) are scipy's.  Every Monte Carlo sweep goes
+through _batched_g, which spreads a large one over the host's CPUs; the
+results do not depend on the worker count.  The MC routes deliberately
+consume no special-function code; their only contact point with the
+limit-law stack is its public evaluator.
 """
 
 import math
@@ -25,7 +27,7 @@ from .errors import ParameterError, RefusalError
 from .limitlaw import (
     MultiPointSpec, airy_convolution_identity, invertibility_guard, khat_dual_check, limit_cdf,
 )
-from .lpp import last_passage_batch
+from .lpp import _check_points, _row_reach, last_passage_batch
 from .rng import TAG_QUEUE_ARR, TAG_QUEUE_LEN, TAG_QUEUE_SRV, CounterStream, SeedSpec, sample_geom
 from .scaling import ScalingFrame, characteristic_ratio, rescale_at_point, scale_dpp
 from .tasep import lpp_bridge_check
@@ -73,18 +75,28 @@ def _chunk_g(params, master_seed, lo, hi, points, batch):
     return np.concatenate(out, axis=0)
 
 
-def _batched_g(params, master_seed, n_samples, points, batch=512, sample_offset=0, threads=1):
+# A sweep of fewer cells runs serially: a pool's start-up cost more than it
+# saved below 2e7 cells and paid above 1.3e8 on a 2-vCPU host.
+POOL_MIN_CELLS = 5 * 10**7
+
+
+def _batched_g(params, master_seed, n_samples, points, batch=512, sample_offset=0):
+    """G at `points` for samples sample_offset .. sample_offset + n_samples
+    in batches of `batch` lanes.  A sweep of at least POOL_MIN_CELLS cells
+    is split into contiguous index ranges, one per process, on up to one
+    process per CPU; samples are indexed, so the split changes no bit."""
     lo, hi = sample_offset, sample_offset + n_samples
-    if threads <= 1:
+    cells = n_samples * sum(r + 1 for r in _row_reach(_check_points(points)))
+    workers = min(os.cpu_count() or 1, n_samples)
+    if workers <= 1 or cells < POOL_MIN_CELLS:
         return _chunk_g(params, master_seed, lo, hi, points, batch)
-    # deterministic: samples are indexed, so the split is order-independent
-    edges = np.linspace(lo, hi, threads + 1).astype(int)
-    parts = run_parallel(
-        _chunk_g,
-        [(params, master_seed, int(a), int(b), points, batch) for a, b in zip(edges[:-1], edges[1:]) if b > a],
-        threads,
-    )
-    return np.concatenate(parts, axis=0)
+    edges = np.linspace(lo, hi, workers + 1).astype(int)
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        futures = [
+            ex.submit(_chunk_g, params, master_seed, int(a), int(b), points, batch)
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        return np.concatenate([f.result() for f in futures], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +179,6 @@ def mc_vs_limit(
     limit_values: Optional[np.ndarray] = None,
     threshold: float = 0.05,
     bias_allowance: float = 0.0,
-    threads: int = 1,
 ) -> ValidationReport:
     """Simulate the stationary model at the scaled points, rescale, and
     compare the joint empirical CDF against the limit law on a grid of
@@ -183,7 +194,7 @@ def mc_vs_limit(
     t0 = time.time()
     taus = tuple(float(t) for t in taus)
     pts = [scale_dpp(frame, tau, 0.0)[:2] for tau in taus]
-    g = _batched_g(ModelParams.two_sided(frame.rho), master_seed, n_samples, pts, threads=threads)
+    g = _batched_g(ModelParams.two_sided(frame.rho), master_seed, n_samples, pts)
     s_samples = np.column_stack(
         [rescale_at_point(frame, x, y, g[:, k]) for k, (x, y) in enumerate(pts)]
     )
@@ -511,7 +522,6 @@ def gaussian_offchar_validate(
     n_samples: int,
     master_seed: int,
     threshold: float = 0.05,
-    threads: int = 1,
 ) -> ValidationReport:
     """KS test of G(x, y) at the lattice point nearest the gamma ray of scale
     N = n_scale, centred on its exact mean and standardized by the point's
@@ -526,7 +536,7 @@ def gaussian_offchar_validate(
     x = N - y
     var = point_variance(rho, x, y)
     mu = x / (1.0 - rho) + y / rho  # exact lattice mean
-    g = _batched_g(ModelParams.two_sided(rho), master_seed, n_samples, [(x, y)], threads=threads)[:, 0]
+    g = _batched_g(ModelParams.two_sided(rho), master_seed, n_samples, [(x, y)])[:, 0]
     centered = (g - mu) / math.sqrt(N)
     z = centered / math.sqrt(var)
     ks = stats.kstest(z, "norm")
@@ -546,16 +556,3 @@ def gaussian_offchar_validate(
         },
     )
 
-
-# ---------------------------------------------------------------------------
-
-
-def run_parallel(fn, arglists, threads: int):
-    """Order-preserving map, optionally across processes.  The pool never
-    has more workers than CPUs, whatever `threads` asks for; the results do
-    not depend on the worker count."""
-    if threads <= 1:
-        return [fn(*args) for args in arglists]
-    with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as ex:
-        futures = [ex.submit(fn, *args) for args in arglists]
-        return [f.result() for f in futures]

@@ -56,23 +56,21 @@ def test_unknown_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"bogus": 1}))
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "report.json").exists()  # no partial output
-    # simulate-lpp has no thread count to set
+    # no subcommand has a thread count to set: MC spreads over the CPUs itself
     cfg.write_text(json.dumps({"threads": 2}))
     assert run_cli(["simulate-lpp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "samples.csv").exists()
+    for subcommand in ("compare", "validate"):
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.json").exists()
 
 
-def test_threads_left_out_of_config_hash(monkeypatch):
-    # threads spreads the same samples over processes: THREADS=1 and
-    # THREADS=2 name the same results, so they share one hash
-    hashes = {}
-    for n in ("1", "2"):
-        monkeypatch.setenv("THREADS", n)
-        cfg = load_config("compare", None)
-        assert cfg["threads"] == int(n)
-        hashes[n] = config_hash(cfg)
-    assert hashes["1"] == hashes["2"]
-    assert config_hash({**cfg, "master_seed": 2}) != hashes["1"]
+def test_default_config_hashes_pinned():
+    # pinned: outputs written while `threads` was a key (left out of the
+    # hash) keep their provenance hashes
+    assert config_hash(load_config("compare", None)) == "056374ec5da3debd"
+    assert config_hash(load_config("validate", None)) == "2bf2aa711ce0d68e"
+    assert config_hash({**load_config("compare", None), "master_seed": 2}) != "056374ec5da3debd"
 
 
 def test_bad_type_rejected(tmp_path):

@@ -1,14 +1,19 @@
-"""The demos import only names that stasep still has.
+"""The demos import only names that stasep still has, and each runs to
+exit 0.
 
-Running all of them takes about half a minute; parsing their imports takes
-milliseconds, and that is enough to catch a demo left behind by a rename or
-a deletion."""
+Parsing their imports takes milliseconds and names a demo left behind by a
+rename or a deletion; running them catches a demo that raises."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import stasep
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -24,3 +29,14 @@ def test_demo_imports_resolve(demo):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{demo.name}: {node.module} has no {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    src = str(Path(stasep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

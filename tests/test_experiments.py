@@ -99,21 +99,15 @@ def test_slow_decorrelation_shapes():
         slow_decorrelation_validate(frame, 0.25, 0.25, 1e-9, 0.25, 10, 5)
 
 
-def test_batched_g_same_bits_with_a_pool():
-    # two worker processes split the samples by index: the result equals
-    # the serial one bit for bit
-    params = ModelParams.two_sided(0.5)
-    pts = [(30, 20), (12, 25)]
-    serial = _batched_g(params, 5, 300, pts, batch=64, threads=1)
-    pooled = _batched_g(params, 5, 300, pts, batch=64, threads=2)
-    assert serial.shape == (300, 2)
-    assert np.array_equal(serial, pooled)
+def _chunk_reference(params, seed, n, pts, batch):
+    # the serial reference: one chunk over the whole index range
+    return experiments._chunk_g(params, seed, 0, n, pts, batch)
 
 
-def test_pool_capped_at_cpu_count(monkeypatch):
-    # a huge thread count must not start a worker per task: the pool is
-    # capped at the CPU count, and the split changes no bit.  The fake pool
-    # runs the tasks in-process and records the worker count it was given
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A fake ProcessPoolExecutor that runs the tasks in-process; returns
+    the list of worker counts the pools it stood in for were given."""
     sizes = []
 
     class InlinePool:
@@ -132,11 +126,66 @@ def test_pool_capped_at_cpu_count(monkeypatch):
             return done
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "params, n, pts",
+    [
+        # c08's m = 1 call (1e6 samples x 16 cells) and shift-coupling's
+        # (200 x 16 cells) sweep fewer cells than a pool pays for
+        (ModelParams.shifted_zero(0.25, 0.25), 10**6, [(3, 3)]),
+        (ModelParams.shifted_plus(0.25, 0.25), 200, [(3, 3)]),
+    ],
+    ids=["c08", "shift-coupling"],
+)
+def test_small_sweep_starts_no_pool(inline_pool, params, n, pts):
+    assert np.array_equal(_batched_g(params, 5, n, pts), _chunk_reference(params, 5, n, pts, 512))
+    assert inline_pool == []
+
+
+def test_large_sweep_starts_a_pool_within_cpu_count(inline_pool):
+    # (99, 99) sweeps 10^4 cells a sample: just enough samples to reach
+    # the constant
+    params = ModelParams.two_sided(0.5)
+    pts = [(99, 99)]
+    n = -(-experiments.POOL_MIN_CELLS // 10**4)
+    assert np.array_equal(_batched_g(params, 5, n, pts), _chunk_reference(params, 5, n, pts, 512))
+    assert len(inline_pool) == (1 if os.cpu_count() > 1 else 0)
+    assert all(1 <= w <= os.cpu_count() for w in inline_pool)
+
+
+def test_one_cpu_starts_no_pool(inline_pool, monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_MIN_CELLS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     params = ModelParams.two_sided(0.5)
     pts = [(30, 20), (12, 25)]
-    serial = _batched_g(params, 5, 300, pts, batch=64, threads=1)
-    assert np.array_equal(_batched_g(params, 5, 300, pts, batch=64, threads=10**4), serial)
-    assert sizes and all(1 <= n <= os.cpu_count() for n in sizes)
+    assert np.array_equal(
+        _batched_g(params, 5, 300, pts, batch=64), _chunk_reference(params, 5, 300, pts, 64)
+    )
+    assert inline_pool == []
+
+
+def test_pool_capped_at_sample_count(inline_pool, monkeypatch):
+    # never more workers than samples, each with one contiguous range
+    monkeypatch.setattr(experiments, "POOL_MIN_CELLS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    params = ModelParams.two_sided(0.5)
+    pts = [(30, 20), (12, 25)]
+    assert np.array_equal(_batched_g(params, 5, 3, pts), _chunk_reference(params, 5, 3, pts, 512))
+    assert inline_pool == [3]
+
+
+def test_batched_g_same_bits_on_two_processes(monkeypatch):
+    # with the constant lowered, two real worker processes split the
+    # samples by index: the result equals the serial one bit for bit
+    monkeypatch.setattr(experiments, "POOL_MIN_CELLS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    params = ModelParams.two_sided(0.5)
+    pts = [(30, 20), (12, 25)]
+    pooled = _batched_g(params, 5, 300, pts, batch=64)
+    assert pooled.shape == (300, 2)
+    assert np.array_equal(pooled, _chunk_reference(params, 5, 300, pts, 64))
 
 
 def test_tandem_queue_sim_counts():
