@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError, RefusalError
 from .limitlaw import (
@@ -430,6 +429,8 @@ def burke_validate(
     """Burke's theorem in equilibrium: inter-departure gaps from the last
     queue are iid Exp(1/rho) (KS), and the queue-length marginal at a fixed
     time stays (1-rho) rho^k (chi-square)."""
+    from scipy import stats  # deferred: it nearly doubles the import time and memory of stasep
+
     t0 = time.time()
     t_end = 1.25 * n_departures / rho
     _, deps = tandem_queue_sim(rho, n_queues, t_end, SeedSpec(master_seed, 0))
@@ -529,6 +530,8 @@ def gaussian_offchar_validate(
     characteristic direction.  Near rho = 0 or 1 the point can round onto an
     axis, where the ray's coefficient would misstate the variance by a
     quarter."""
+    from scipy import stats  # deferred, as in burke_validate
+
     gaussian_coefficients(rho, gamma)  # refuses the characteristic ray
     t0 = time.time()
     N = int(n_scale)

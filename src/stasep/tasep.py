@@ -12,9 +12,10 @@ with T = 0 outside the domain {i - j > x_j(0)}, which is a last-passage
 recursion over a staircase domain; the simulator and the DP compute the
 same max/add float operations, so the bridge comparisons are bit-exact.
 
-The bridge simulates exactly the particles its DP rows name, labels <= y.
-Those behind particle y cross every bond after it does, so they cannot
-change an outcome of the check (lpp_bridge_check gives the argument).
+The bridge simulates exactly its DP cells: labels <= y, columns <= x.
+Particles behind particle y cross every bond after it does, and jumps past
+column x come after every cell the DP reads, so neither can change an
+outcome of the check (lpp_bridge_check gives the argument).
 """
 
 import heapq
@@ -159,6 +160,8 @@ def evolve(
     t_end: float,
     record: bool = False,
     check_exclusion: bool = False,
+    *,
+    i_max: Optional[int] = None,
 ) -> Tuple[TasepState, JumpLog]:
     """Run the event-driven dynamics from state.time to t_end.
 
@@ -166,6 +169,11 @@ def evolve(
     the caller must size the label range so that unsimulated particles
     cannot influence the observables (lpp_bridge_check states why its label
     range suffices).  Raises WindowError if any particle escapes the window.
+
+    With i_max set, particle j stops at site i_max - j: no jump with clock
+    index (target + j) beyond i_max is scheduled.  The jumps that remain see
+    the same clocks and the same blocking, since a jump into column i <= i_max
+    waits only on jumps of columns <= i, so each keeps its time bit for bit.
     """
     if t_end < state.time:
         raise ParameterError("t_end precedes current state time")
@@ -183,11 +191,18 @@ def evolve(
     # are pure functions of the cell, so unused preloads change nothing)
     labs = label_min + np.arange(nlab)
     i_los = start_pos + labs + 1
-    block = max(1, _CLOCK_BLOCK_CELLS // (max_jumps + 1))
+    width = max_jumps + 1
+    if i_max is None:
+        i_max = int(i_los.max()) + width  # past every preloaded clock: binds no one
+    else:
+        width = max(1, min(width, i_max - int(i_los.min()) + 1))
+    block = max(1, _CLOCK_BLOCK_CELLS // width)
     clocks = []
     for a in range(0, nlab, block):
-        rows = waits.omega_rows(labs[a : a + block], i_los[a : a + block], max_jumps + 1)
+        rows = waits.omega_rows(labs[a : a + block], i_los[a : a + block], width)
         clocks.extend(rows.tolist())
+    # particle k may jump while its position stays below stop[k]
+    stop = (i_max - labs).tolist()
 
     pos = [int(p) for p in start_pos]
     jumps = [0] * nlab
@@ -197,7 +212,7 @@ def evolve(
     heap: List[Tuple[float, int]] = []
     t0 = state.time
     for k in range(nlab):
-        if k == 0 or pos[k - 1] > pos[k] + 1:
+        if pos[k] < stop[k] and (k == 0 or pos[k - 1] > pos[k] + 1):
             heap.append((t0 + clocks[k][0], k))
             pending[k] = True
     heapq.heapify(heap)
@@ -227,13 +242,14 @@ def evolve(
         if record:
             rec_t.append(t)
             rec_k.append(k)
-        # the particle behind, if adjacent, is unblocked at time t
+        # the particle behind, if adjacent, is unblocked at time t (its jump
+        # into `old` has clock index new + label_k, within i_max)
         kb = k + 1
         if kb < nlab and pos[kb] == old - 1 and not pending[kb]:
             push(heap, (t + clocks[kb][jumps[kb]], kb))
             pending[kb] = True
         # this particle may keep moving
-        if k == 0 or pos[k - 1] > new + 1:
+        if new < stop[k] and (k == 0 or pos[k - 1] > new + 1):
             push(heap, (t + clocks[k][jumps[k]], k))
             pending[k] = True
 
@@ -322,7 +338,7 @@ def lpp_bridge_check(
     h_t(x-y) the statement acquires a unit shift that matters pathwise
     (though not in the scaling limit), hence the -1 offsets here.
 
-    Simulated labels.  Labels <= 0 sit on sites >= 1 and are kept while
+    Simulated cells.  Labels <= 0 sit on sites >= 1 and are kept while
     their DP row is non-empty; labels 1..y are the remaining DP rows, and
     particle y gives the exit time.  No label > y is simulated, and this
     changes no outcome of the check.  Such a label starts left of
@@ -334,6 +350,15 @@ def lpp_bridge_check(
     label comes after particle y reached x-y; by then the particle form
     holds, and h only grows.  So every report on a passing instance is
     unchanged; only the h= value printed in a failing witness could differ.
+
+    Each simulated label j also stops at site x - j (evolve's i_max = x):
+    the DP reads only cells with i <= x, so every T(i, j) it uses comes from
+    the same float operations.  The dropped jumps change no outcome either.
+    h(x-y-1) changes only on jumps into site x-y; for a label j <= y that
+    jump has clock index x-y+j <= x, so it is still simulated.  The one
+    other observed jump that can be dropped is a label j >= x entering site
+    1 when x <= y, which, like a label > y entering site 1, leaves h(x-y-1)
+    unchanged.
     """
     if x < 1 or y < 1:
         raise ParameterError("bridge requires x, y >= 1")
@@ -365,7 +390,7 @@ def lpp_bridge_check(
         n_current=0,
         window=(int(positions.min()), int(positions.max())),
     )
-    state, log = evolve(state, waits, t_cap, record=True, check_exclusion=True)
+    state, log = evolve(state, waits, t_cap, record=True, check_exclusion=True, i_max=x)
 
     # DP over rows label_min..y (rows above y cannot feed (x, y)) on the
     # staircase {x_j(0) + j < i <= x}; row starts may be negative, so the

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "simulate-lpp" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["stasep", "stasep.cli"])
+def test_import_leaves_scipy_stats_out(module):
+    # scipy.stats is imported inside the two checks that use it; a fresh
+    # interpreter shows what importing the package itself loads
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_off_half(tmp_path, capsys):

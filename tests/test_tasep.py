@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from stasep import tasep
 from stasep.errors import ParameterError, RefusalError, WindowError
+from stasep.lpp import _sweep
 from stasep.rng import SeedSpec
 from stasep.tasep import (
     TasepState,
@@ -286,6 +289,79 @@ def test_bridge_ignores_labels_behind_y(monkeypatch):
         monkeypatch.undo()
     # not vacuous: labels beyond y do jump into the observed sites
     assert sum(behind) > 0
+
+
+def test_bridge_jumps_are_exactly_the_dp_cells(monkeypatch):
+    # every jump the bridge simulates is a cell (i, j) = (target + j, j) of
+    # its DP staircase {x_j(0) + j < i <= x}, at time G(i, j) bit for bit,
+    # and every cell with G <= t_cap is simulated.  A cap at x - 1 breaks the
+    # pinned reports; one at x + 1 logs cells outside the staircase
+    real_evolve = tasep.evolve
+    runs = []
+
+    def keeping(state, waits, t_end, **kwargs):
+        state_out, log = real_evolve(state, waits, t_end, **kwargs)
+        runs.append((state, waits, t_end, log))
+        return state_out, log
+
+    monkeypatch.setattr(tasep, "evolve", keeping)
+    rng = np.random.default_rng(21)
+    shapes = {"x<=y": 0, "x>y": 0}
+    no_exit = 0
+    for trial in range(30):
+        rho = 0.5 if trial < 15 else 0.3
+        x, y = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        grid = _grid_for(x, y, rho=rho) * (0.5 if trial % 3 == 0 else 1.0)
+        rep = lpp_bridge_check(23, trial, x, y, grid, rho=rho)
+        assert rep.ok, rep.witness
+        shapes["x<=y" if x <= y else "x>y"] += 1
+        no_exit += rep.exit_time is None
+        state, waits, t_cap, log = runs.pop()
+        js = state.labels
+        starts = state.positions + js + 1
+        i0 = int(starts.min())
+        cells = [(i, r) for r in range(len(js)) for i in range(int(starts[r]), x + 1)]
+        clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1)
+        g = _sweep(lambda i, r: clocks[r, i, None], starts - i0, [x - i0] * len(js), 1,
+                   [(i - i0, r) for i, r in cells])[:, 0]
+        g_of = {cell: float(v) for cell, v in zip(cells, g)}
+        for t, j, p in zip(log.times, log.labels, log.targets):
+            assert (p + j, j - state.label_min) in g_of, (x, y, j, p)
+            assert t == g_of[(p + j, j - state.label_min)]
+        assert len(log.times) == sum(v <= t_cap for v in g)
+    assert min(shapes.values()) >= 5 and no_exit >= 1
+
+
+def test_evolve_column_cap():
+    # i_max=None leaves the log pinned from before the cap existed; a cap
+    # beyond every reachable cell changes nothing; a binding cap keeps
+    # exactly the jumps of clock index <= i_max, at the same times, and
+    # stops particle j at site i_max - j
+    def digest(log):
+        data = np.array(log.times).tobytes()
+        data += np.array(log.labels + log.targets, dtype=np.int64).tobytes()
+        return hashlib.md5(data).hexdigest()
+
+    seed = SeedSpec(45, 2)
+    st = init_stationary(0.5, stationary_window(-30, 30, 15.0), seed)
+    full, log = evolve(st, WaitingTimes(seed), 15.0, record=True, i_max=None)
+    assert (len(log.times), digest(log)) == (673, "ee79c63a131c7238288181afdefc23f7")
+    far, far_log = evolve(st, WaitingTimes(seed), 15.0, record=True, i_max=10**6)
+    assert far_log == log and np.array_equal(far.positions, full.positions)
+    cols = [p + j for j, p in zip(log.labels, log.targets)]
+    for i_max in (-20, 0, 7, 15):
+        out, capped = evolve(st, WaitingTimes(seed), 15.0, record=True,
+                             check_exclusion=True, i_max=i_max)
+        kept = [k for k, c in enumerate(cols) if c <= i_max]
+        assert 0 < len(kept) < len(cols)
+        assert capped.times == [log.times[k] for k in kept]
+        assert capped.labels == [log.labels[k] for k in kept]
+        assert capped.targets == [log.targets[k] for k in kept]
+        stop = i_max - st.labels
+        moved = st.positions < stop
+        assert np.all(out.positions[moved] <= stop[moved])
+        assert np.array_equal(out.positions[~moved], st.positions[~moved])
+        assert np.array_equal(out.positions[moved], np.minimum(full.positions, stop)[moved])
 
 
 def test_bridge_detects_a_dropped_crossing(monkeypatch):
