@@ -14,7 +14,9 @@ limit-law stack is its public evaluator.
 """
 
 import math
+import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -74,23 +76,25 @@ def _chunk_g(params, master_seed, lo, hi, points, batch):
     return np.concatenate(out, axis=0)
 
 
-# A sweep of fewer cells runs serially: a pool's start-up cost more than it
-# saved below 2e7 cells and paid above 1.3e8 on a 2-vCPU host.
+# A sweep of fewer cells runs serially: a forked pool's start-up cost more
+# than it saved below 2e7 cells and paid above 1.3e8 on a 2-vCPU host.  Off
+# Linux, where fork is unsafe or absent, every sweep runs serially: a spawned
+# pool took 1.5-1.7 s to start on that host, against 0.03 s for a forked one.
 POOL_MIN_CELLS = 5 * 10**7
 
 
 def _batched_g(params, master_seed, n_samples, points, batch=512, sample_offset=0):
     """G at `points` for samples sample_offset .. sample_offset + n_samples
-    in batches of `batch` lanes.  A sweep of at least POOL_MIN_CELLS cells
-    is split into contiguous index ranges, one per process, on up to one
-    process per CPU; samples are indexed, so the split changes no bit."""
+    in batches of `batch` lanes.  On Linux a sweep of at least POOL_MIN_CELLS
+    cells is split into contiguous index ranges, one per forked process, on up
+    to one process per CPU; samples are indexed, so the split changes no bit."""
     lo, hi = sample_offset, sample_offset + n_samples
     cells = n_samples * sum(r + 1 for r in _row_reach(_check_points(points)))
     workers = min(os.cpu_count() or 1, n_samples)
-    if workers <= 1 or cells < POOL_MIN_CELLS:
+    if workers <= 1 or cells < POOL_MIN_CELLS or sys.platform != "linux":
         return _chunk_g(params, master_seed, lo, hi, points, batch)
     edges = np.linspace(lo, hi, workers + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
         futures = [
             ex.submit(_chunk_g, params, master_seed, int(a), int(b), points, batch)
             for a, b in zip(edges[:-1], edges[1:])

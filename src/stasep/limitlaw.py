@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import AccuracyError, InvertibilityError, ParameterError
 from .specfun import airy_ai, composite_rule, gaussian_tail_integral, legendre_rule
@@ -240,6 +239,9 @@ class NystromSystem:
         """LU of 1 - D, taken on first use (so an edit of `matrix` made
         before then is seen) and shared by det, slogdet and the resolvent."""
         if self._lu is None:
+            # imported on first use, as scipy.special: together they add
+            # about 26 MB to a process that never needs the limit law
+            from scipy.linalg import lu_factor
             self._lu = lu_factor(np.eye(self.matrix.shape[0]) - self.matrix)
         return self._lu
 
@@ -270,6 +272,7 @@ class NystromSystem:
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """(1-D)^{-1} rhs, or (1-D)^{-T} rhs, from the shared LU."""
+        from scipy.linalg import lu_solve
         return lu_solve(self._factor(), rhs, trans=1 if transpose else 0)
 
     def resolvent_inner(self, phi: np.ndarray, psi: np.ndarray) -> float:

@@ -2,12 +2,13 @@
 
 G(x, y) = max over up-right paths (0,0) -> (x,y) of the path weight sum.
 One kernel, _sweep, runs the exact recursion G = w + max(left, below) one
-anti-diagonal at a time over a staircase domain: every cell of diagonal
-i + j = d reads only diagonal d - 1, so a whole diagonal is one array op,
-vectorized across independent weight fields (lanes) as well: one lane for
-a single sample, the samples of a batch, or a TASEP bridge instance.  The
-counter RNG gives O(1) access to any cell, so weights are fetched in
-hash-sized groups of cells in sweep order.  Every DP value equals the
+anti-diagonal at a time over row prefixes 0 <= i <= stops[j]: every cell
+of diagonal i + j = d reads only diagonal d - 1, so a whole diagonal is
+one array op, vectorized across independent weight fields (lanes) as well:
+one lane for a single sample, the samples of a batch, or a TASEP bridge
+instance, whose T = 0 staircase is written as zero clocks.  The counter
+RNG gives O(1) access to any cell, so weights are fetched in hash-sized
+groups of cells in sweep order.  Every DP value equals the
 sequentially-rounded sum along some path, which makes it bit-exact against
 the enumeration oracle (float addition is commutative and rounding is
 monotone, so the max survives each +w step), and makes batch and
@@ -22,9 +23,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, RefusalError
-from .weights import HASH_BLOCK_CELLS, BatchWeights, ModelParams, WeightOracle
+from .weights import BatchWeights, ModelParams, WeightOracle
 
 BRUTE_FORCE_CAP = 22  # x + y; C(22,11) ~ 7e5 paths
+HASH_BLOCK_CELLS = 32_768  # cells x lanes per cell_weights call in _sweep
 
 Point = Tuple[int, int]
 
@@ -48,65 +50,59 @@ class PassageResult:
     sample_index: int
 
 
-def _diagonal_runs(starts, stops, d_max: int) -> List[Tuple[int, int, int]]:
-    """The sweep's runs (d, a, b): rows a..b-1 of diagonal d lie in the
-    domain, for diagonals 0..d_max in order and runs of consecutive rows
-    from the bottom up."""
-    rows = np.arange(len(starts))
-    first, last = rows + starts, rows + stops  # row j covers diagonals first[j]..last[j]
-    diags = np.arange(d_max + 1)
-    # the rows covering d lie in lo[d]..hi[d]-1 (the first row ending at or
-    # after d, up to the last one starting at or before it), and there are
-    # n_in[d] of them: all of that hull unless a row is out in between
-    lo = np.searchsorted(np.maximum.accumulate(last), diags, side="left")
-    hi = np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], diags, side="right")
-    n_in = np.searchsorted(np.sort(first), diags, side="right") - np.searchsorted(
-        np.sort(last), diags, side="left"
-    )
-    runs = []
-    for d, a, b, n in zip(diags.tolist(), lo.tolist(), hi.tolist(), n_in.tolist()):
-        if n < b - a:
-            inside = (first[a:b] <= d) & (last[a:b] >= d)
-            edges = (np.flatnonzero(np.diff(inside, prepend=False, append=False)) + a).tolist()
-            runs.extend((d, ea, eb) for ea, eb in zip(edges[::2], edges[1::2]))
-        elif n:
-            runs.append((d, a, b))
-    return runs
+def _diagonal_runs(stops, d_max: int):
+    """The sweep's runs as arrays (d, a, b): rows a..b-1 of diagonal d lie
+    in the domain, for diagonals 0..d_max in order and maximal runs of
+    consecutive rows from the bottom up.  A block [r0, r1) of rows with
+    equal stop s covers rows max(r0, d - s)..min(r1, d + 1) - 1 of
+    diagonal d; pieces of consecutive blocks that touch make one run."""
+    stops = np.asarray(stops)
+    r0 = np.flatnonzero(np.diff(stops, prepend=stops[0] + 1))  # first row of each block
+    r1 = np.append(r0[1:], len(stops))
+    d = np.arange(d_max + 1)[:, None]
+    a, b = np.maximum(r0, d - stops[r0]), np.minimum(r1, d + 1)  # (diagonal, block)
+    keep = a < b
+    d, a, b = np.broadcast_to(d, keep.shape)[keep], a[keep], b[keep]
+    # a piece starts a run unless it continues the one before on its diagonal
+    new = np.ones(len(d), dtype=bool)
+    new[1:] = (d[1:] != d[:-1]) | (a[1:] != b[:-1])
+    return d[new], a[new], b[np.append(new[1:], True)]
 
 
-def _sweep(cell_weights, starts, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarray:
-    """G(i, j) = w(i, j) + max(G(i-1, j), G(i, j-1)) over the domain
-    {starts[j] <= i <= stops[j]}, G = 0 off it, for `lanes` weight fields at
+def _sweep(cell_weights, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarray:
+    """G(i, j) = w(i, j) + max(G(i-1, j), G(i, j-1)) over the row prefixes
+    {0 <= i <= stops[j]}, G = 0 off them, for `lanes` weight fields at
     once; returns G at the wanted (i, j), shape (len(wanted), lanes).
 
     Diagonal d is swept run by run (_diagonal_runs), each one array op.  G
     of row j sits in g[d % 2][j + 1], which is 0 until the row's first
-    cell: with nonincreasing starts and stops, every neighbour an in-domain
-    cell reads, in g[(d - 1) % 2], is either on diagonal d - 1 or off the
-    domain.  The weights do not depend on G, so cell_weights(i, j), giving
-    w at the cells (i[k], j[k]) of 1-D index arrays as a (cells, lanes)
-    array, is asked for HASH_BLOCK_CELLS // lanes cells at a time, in sweep
-    order: short diagonals share a call, and a run may span two.
+    cell: with nonincreasing stops, every neighbour an in-domain cell
+    reads, in g[(d - 1) % 2], is either on diagonal d - 1 or off the domain.
+    Other domains are written as weights: a zero weight at every cell of a
+    down-left closed set gives G = 0 there exactly (the TASEP bridge sets
+    its T = 0 staircase that way).  The weights do not depend on G, so
+    cell_weights(i, j), giving w at the cells (i[k], j[k]) of 1-D index
+    arrays as a (cells, lanes) array, is asked for HASH_BLOCK_CELLS // lanes
+    cells at a time, in sweep order: short diagonals share a call, and a
+    run may span two.
     """
-    starts, stops = [int(a) for a in starts], [int(b) for b in stops]
-    if min(starts) < 0 or any(
-        a < b for bounds in (starts, stops) for a, b in zip(bounds, bounds[1:])
-    ):
-        raise DomainError("row starts must be nonnegative, starts and stops nonincreasing")
+    stops = [int(b) for b in stops]
+    if min(stops) < 0 or any(a < b for a, b in zip(stops, stops[1:])):
+        raise DomainError("row stops must be nonnegative and nonincreasing")
     by_diag: Dict[int, List[Tuple[int, int]]] = {}
     for k, (i, j) in enumerate(wanted):
         by_diag.setdefault(i + j, []).append((k, j))
-    runs = _diagonal_runs(starts, stops, max(by_diag))
+    d, lo, hi = _diagonal_runs(stops, max(by_diag))
     # every run's cells in sweep order: run k holds cells at[k]..at[k+1]-1
-    d, lo, hi = np.array(runs, dtype=np.int64).reshape(-1, 3).T
     size = hi - lo
     at = np.concatenate(([0], np.cumsum(size)))
     jj = np.arange(at[-1]) - np.repeat(at[:-1] - lo, size)
     ii = np.repeat(d, size) - jj
     at = at.tolist()
+    runs = list(zip(d.tolist(), lo.tolist(), hi.tolist()))
     step = max(1, HASH_BLOCK_CELLS // max(lanes, 1))
     out = np.empty((len(wanted), lanes))
-    g = np.zeros((2, len(starts) + 1, lanes))  # g[0] pads row j = -1
+    g = np.zeros((2, len(stops) + 1, lanes))  # g[0] pads row j = -1
     base = end = 0  # w holds the weights of cells base..end-1
     for k, (dk, a, b) in enumerate(runs):
         old, new = g[(dk - 1) % 2], g[dk % 2]
@@ -142,7 +138,7 @@ def last_passage(oracle: WeightOracle, points: Sequence[Point]) -> PassageResult
     """Passage times to every requested point, captured in one sweep."""
     pts = _check_points(points)
     reach = _row_reach(pts)
-    g = _sweep(oracle.cell_weights, [0] * len(reach), reach, 1, pts)
+    g = _sweep(oracle.cell_weights, reach, 1, pts)
     vals = {p: float(v[0]) for p, v in zip(pts, g)}
     return PassageResult(values=vals, sample_index=oracle.seed.sample_index)
 
@@ -161,10 +157,7 @@ def last_passage_batch(
     """
     reach = _row_reach(_check_points(points))
     bw = BatchWeights(params, master_seed, sample_indices)
-    g = _sweep(
-        bw.cells, [0] * len(reach), reach, len(bw.keys),
-        [(int(p[0]), int(p[1])) for p in points],
-    )
+    g = _sweep(bw.cells, reach, len(bw.keys), [(int(p[0]), int(p[1])) for p in points])
     return g.T
 
 
@@ -180,8 +173,8 @@ def last_passage_point_to_point(
         raise DomainError(f"start {frm} not componentwise <= end {to}")
     rows = ty - fy + 1
     g = _sweep(
-        lambda i, r: oracle.cell_weights(i, r + fy),
-        [fx] * rows, [tx] * rows, 1, [(tx, rows - 1)],
+        lambda c, r: oracle.cell_weights(c + fx, r + fy),
+        [tx - fx] * rows, 1, [(tx - fx, rows - 1)],
     )
     return float(g[0, 0])
 

@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError, ParameterError
 
@@ -194,6 +193,7 @@ def airy_ai(x):
 def gaussian_tail_integral(u: float, v: float):
     """integral_{-inf}^{u} exp(-y^2/(4v)) dy = sqrt(pi v) erfc(-u/(2 sqrt(v)));
     u may be an array."""
+    from scipy.special import erfc  # on first use: see NystromSystem._factor
     if not v > 0:
         raise ParameterError(f"variance parameter v must be positive, got {v}")
     u = np.asarray(u, dtype=float)

@@ -9,8 +9,9 @@ the particle sits at i-j-1 and site i-j is empty.
 
 The jump times then satisfy T(i,j) = Omega(i,j) + max(T(i-1,j), T(i,j-1))
 with T = 0 outside the domain {i - j > x_j(0)}, which is a last-passage
-recursion over a staircase domain; the simulator and the DP compute the
-same max/add float operations, so the bridge comparisons are bit-exact.
+recursion over a staircase domain (swept as a rectangle whose clocks are
+zero left of the staircase); the simulator and the DP compute the same
+max/add float operations, so the bridge comparisons are bit-exact.
 
 The bridge simulates exactly its DP cells: labels <= y, columns <= x.
 Particles behind particle y cross every bond after it does, and jumps past
@@ -159,7 +160,6 @@ def evolve(
     waits: WaitingTimes,
     t_end: float,
     record: bool = False,
-    check_exclusion: bool = False,
     *,
     i_max: Optional[int] = None,
 ) -> Tuple[TasepState, JumpLog]:
@@ -168,7 +168,8 @@ def evolve(
     The particle with the smallest simulated label is treated as unblocked;
     the caller must size the label range so that unsimulated particles
     cannot influence the observables (lpp_bridge_check states why its label
-    range suffices).  Raises WindowError if any particle escapes the window.
+    range suffices).  Raises WindowError if any particle escapes the window,
+    and AssertionError if a jump lands on or past the particle ahead.
 
     With i_max set, particle j stops at site i_max - j: no jump with clock
     index (target + j) beyond i_max is scheduled.  The jumps that remain see
@@ -227,7 +228,7 @@ def evolve(
         pending[k] = False
         old = pos[k]
         new = old + 1
-        if check_exclusion and k > 0 and pos[k - 1] <= new:
+        if k > 0 and pos[k - 1] <= new:
             raise AssertionError("exclusion violated")
         pos[k] = new
         jumps[k] += 1
@@ -390,21 +391,19 @@ def lpp_bridge_check(
         n_current=0,
         window=(int(positions.min()), int(positions.max())),
     )
-    state, log = evolve(state, waits, t_cap, record=True, check_exclusion=True, i_max=x)
+    state, log = evolve(state, waits, t_cap, record=True, i_max=x)
 
     # DP over rows label_min..y (rows above y cannot feed (x, y)) on the
-    # staircase {x_j(0) + j < i <= x}; row starts may be negative, so the
-    # columns shift by the smallest one, that of row y
+    # staircase {x_j(0) + j < i <= x}: the rectangle from i0, row y's start
+    # and the smallest, with zero clocks left of the staircase, a down-left
+    # closed set (starts are nonincreasing) whose cells compute 0 + max(0, 0)
     js = np.arange(label_min, y + 1)
     starts = positions[: len(js)] + js + 1
     i0 = int(starts[-1])
     clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1)
-    l_xy = float(
-        _sweep(
-            lambda i, r: clocks[r, i, None],
-            starts - i0, [x - i0] * len(js), 1, [(x - i0, len(js) - 1)],
-        )[0, 0]
-    )
+    clocks[np.arange(x - i0 + 1) < (starts - i0)[:, None]] = 0.0
+    g = _sweep(lambda c, r: clocks[r, c, None], [x - i0] * len(js), 1, [(x - i0, len(js) - 1)])
+    l_xy = float(g[0, 0])
 
     pos_y0 = int(positions[y - label_min])
 

@@ -33,9 +33,6 @@ from .rng import (
 )
 
 
-HASH_BLOCK_CELLS = 32_768  # cells x lanes per BatchWeights.cells call in lpp._sweep
-
-
 class ModelKind(Enum):
     TwoSidedStationary = "two-sided-stationary"
     ShiftedPlus = "shifted-plus"

@@ -148,10 +148,12 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("module", ["stasep", "stasep.cli"])
 def test_import_leaves_scipy_stats_out(module):
-    # scipy.stats is imported inside the two checks that use it; a fresh
+    # scipy.stats is imported inside the two checks that use it, and
+    # scipy.linalg and scipy.special on the limit law's first use; a fresh
     # interpreter shows what importing the package itself loads
     src = str(Path(cli.__file__).resolve().parent.parent)
-    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    heavy = ("scipy.stats", "scipy.linalg", "scipy.special")
+    code = f"import sys, {module}; print(any(m in sys.modules for m in {heavy}))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},

@@ -2,6 +2,7 @@
 test_acceptance)."""
 
 import os
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -106,13 +107,14 @@ def _chunk_reference(params, seed, n, pts, batch):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """A fake ProcessPoolExecutor that runs the tasks in-process; returns
-    the list of worker counts the pools it stood in for were given."""
+    """A fake ProcessPoolExecutor that runs the tasks in-process, on what
+    reads as a Linux host; returns the (worker count, start method) of each
+    pool it stood in for."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, mp_context):
+            sizes.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -126,6 +128,7 @@ def inline_pool(monkeypatch):
             return done
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sys, "platform", "linux")
     return sizes
 
 
@@ -152,7 +155,7 @@ def test_large_sweep_starts_a_pool_within_cpu_count(inline_pool):
     n = -(-experiments.POOL_MIN_CELLS // 10**4)
     assert np.array_equal(_batched_g(params, 5, n, pts), _chunk_reference(params, 5, n, pts, 512))
     assert len(inline_pool) == (1 if os.cpu_count() > 1 else 0)
-    assert all(1 <= w <= os.cpu_count() for w in inline_pool)
+    assert all(1 <= w <= os.cpu_count() and how == "fork" for w, how in inline_pool)
 
 
 def test_one_cpu_starts_no_pool(inline_pool, monkeypatch):
@@ -173,7 +176,20 @@ def test_pool_capped_at_sample_count(inline_pool, monkeypatch):
     params = ModelParams.two_sided(0.5)
     pts = [(30, 20), (12, 25)]
     assert np.array_equal(_batched_g(params, 5, 3, pts), _chunk_reference(params, 5, 3, pts, 512))
-    assert inline_pool == [3]
+    assert inline_pool == [(3, "fork")]
+
+
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_no_pool_off_linux(inline_pool, monkeypatch, platform):
+    # POOL_MIN_CELLS was measured with fork-started workers; where fork is
+    # unsafe or absent, a spawned pool costs more than it saves
+    monkeypatch.setattr(experiments, "POOL_MIN_CELLS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sys, "platform", platform)
+    params = ModelParams.two_sided(0.5)
+    pts = [(30, 20), (12, 25)]
+    assert np.array_equal(_batched_g(params, 5, 40, pts), _chunk_reference(params, 5, 40, pts, 512))
+    assert inline_pool == []
 
 
 def test_batched_g_same_bits_on_two_processes(monkeypatch):

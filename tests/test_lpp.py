@@ -4,6 +4,9 @@ import pytest
 from stasep.errors import DomainError, RefusalError
 from stasep.lpp import (
     BRUTE_FORCE_CAP,
+    HASH_BLOCK_CELLS,
+    _diagonal_runs,
+    _row_reach,
     _sweep,
     brute_force_last_passage,
     last_passage,
@@ -11,7 +14,7 @@ from stasep.lpp import (
     last_passage_point_to_point,
 )
 from stasep.rng import SeedSpec
-from stasep.weights import HASH_BLOCK_CELLS, ModelKind, ModelParams, WeightOracle
+from stasep.weights import ModelKind, ModelParams, WeightOracle
 
 
 class ConstantField:
@@ -160,12 +163,43 @@ def test_noncontiguous_diagonals_equal_enumeration():
 
 
 def test_sweep_domain_checks():
-    # a staircase domain: G = 0 off it, first cell of a row takes w + below
+    # a staircase {i >= starts[j]} as zero weights left of each start: G = 0
+    # off it, and the first cell of a row takes w + below
+    starts = np.array([2, 0])
+    staircase = lambda i, j: (i >= starts[j]).astype(float)[:, None]
+    pts = [(3, 0), (0, 1), (3, 1)]
+    assert _sweep(staircase, [3, 3], 1, pts)[:, 0].tolist() == [2.0, 1.0, 4.0]
     ones = lambda i, j: np.ones((len(i), 1))
-    assert _sweep(ones, [2, 0], [3, 3], 1, [(3, 0), (0, 1), (3, 1)])[:, 0].tolist() == [2.0, 1.0, 4.0]
-    for starts, stops in (([0, 1], [3, 3]), ([0, 0], [2, 3]), ([-1, -1], [3, 3])):
+    for stops in ([2, 3], [3, 2, 3], [-1, -1], [3, -1]):
         with pytest.raises(DomainError):
-            _sweep(ones, starts, stops, 1, [(2, 1)])
+            _sweep(ones, stops, 1, [(0, 1)])
+
+
+def _enumerated_runs(stops, d_max):
+    # maximal runs of consecutive in-domain rows, diagonal by diagonal
+    runs = []
+    for d in range(d_max + 1):
+        for j in range(min(d + 1, len(stops))):
+            if d - j <= stops[j]:
+                if runs and runs[-1][0] == d and runs[-1][2] == j:
+                    runs[-1][2] = j + 1
+                else:
+                    runs.append([d, j, j + 1])
+    return [tuple(r) for r in runs]
+
+
+def test_diagonal_runs_equal_enumeration():
+    rng = np.random.default_rng(3)
+    cases = [([5], 9), ([0] * 6, 8), ([4] * 4, 10), ([6, 0, 0, 0], 9), ([0], 0)]
+    for _ in range(500):
+        stops = sorted(rng.integers(0, 10, int(rng.integers(1, 10))).tolist(), reverse=True)
+        cases.append((stops, int(rng.integers(0, 22))))
+    for stops, d_max in cases:
+        runs = list(zip(*(a.tolist() for a in _diagonal_runs(stops, d_max))))
+        assert runs == _enumerated_runs(stops, d_max), (stops, d_max)
+    # the mc-critical benchmark's points, swept to diagonal 250
+    reach = _row_reach([(85, 164), (125, 125), (164, 85)])
+    assert len(_diagonal_runs(reach, 250)[0]) == 327
 
 
 def test_point_set_validation():

@@ -6,7 +6,6 @@ from scipy import stats
 
 from stasep import tasep
 from stasep.errors import ParameterError, RefusalError, WindowError
-from stasep.lpp import _sweep
 from stasep.rng import SeedSpec
 from stasep.tasep import (
     TasepState,
@@ -66,10 +65,9 @@ def test_blocking_preserves_order():
     # two adjacent particles: the trailing one cannot pass
     st = TasepState(label_min=0, positions=np.array([5, 4]), time=0.0,
                     n_current=0, window=(0, 10**6))
-    out, log = evolve(st, WaitingTimes(SeedSpec(3, 1)), 50.0,
-                      record=True, check_exclusion=True)
+    out, log = evolve(st, WaitingTimes(SeedSpec(3, 1)), 50.0, record=True)
     assert out.positions[0] > out.positions[1]
-    # every jump respected exclusion (checked inside) and both moved
+    # every jump respected exclusion (evolve checks each one) and both moved
     assert out.positions[1] > 4
 
 
@@ -294,8 +292,10 @@ def test_bridge_ignores_labels_behind_y(monkeypatch):
 def test_bridge_jumps_are_exactly_the_dp_cells(monkeypatch):
     # every jump the bridge simulates is a cell (i, j) = (target + j, j) of
     # its DP staircase {x_j(0) + j < i <= x}, at time G(i, j) bit for bit,
-    # and every cell with G <= t_cap is simulated.  A cap at x - 1 breaks the
-    # pinned reports; one at x + 1 logs cells outside the staircase
+    # and every cell with G <= t_cap is simulated.  G comes from the
+    # recursion written out here, G = 0 off the staircase, not from the
+    # bridge's DP.  A cap at x - 1 breaks the pinned reports; one at x + 1
+    # logs cells outside the staircase
     real_evolve = tasep.evolve
     runs = []
 
@@ -318,17 +318,18 @@ def test_bridge_jumps_are_exactly_the_dp_cells(monkeypatch):
         no_exit += rep.exit_time is None
         state, waits, t_cap, log = runs.pop()
         js = state.labels
-        starts = state.positions + js + 1
-        i0 = int(starts.min())
-        cells = [(i, r) for r in range(len(js)) for i in range(int(starts[r]), x + 1)]
-        clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1)
-        g = _sweep(lambda i, r: clocks[r, i, None], starts - i0, [x - i0] * len(js), 1,
-                   [(i - i0, r) for i, r in cells])[:, 0]
-        g_of = {cell: float(v) for cell, v in zip(cells, g)}
+        starts = (state.positions + js + 1).tolist()
+        i0 = min(starts)
+        clocks = waits.omega_rows(js, np.full(len(js), i0), x - i0 + 1).tolist()
+        g_of = {}
+        for r, start in enumerate(starts):
+            for i in range(start, x + 1):
+                left, below = g_of.get((i - 1, r), 0.0), g_of.get((i, r - 1), 0.0)
+                g_of[i, r] = clocks[r][i - i0] + max(left, below)
         for t, j, p in zip(log.times, log.labels, log.targets):
             assert (p + j, j - state.label_min) in g_of, (x, y, j, p)
             assert t == g_of[(p + j, j - state.label_min)]
-        assert len(log.times) == sum(v <= t_cap for v in g)
+        assert len(log.times) == sum(v <= t_cap for v in g_of.values())
     assert min(shapes.values()) >= 5 and no_exit >= 1
 
 
@@ -350,8 +351,7 @@ def test_evolve_column_cap():
     assert far_log == log and np.array_equal(far.positions, full.positions)
     cols = [p + j for j, p in zip(log.labels, log.targets)]
     for i_max in (-20, 0, 7, 15):
-        out, capped = evolve(st, WaitingTimes(seed), 15.0, record=True,
-                             check_exclusion=True, i_max=i_max)
+        out, capped = evolve(st, WaitingTimes(seed), 15.0, record=True, i_max=i_max)
         kept = [k for k, c in enumerate(cols) if c <= i_max]
         assert 0 < len(kept) < len(cols)
         assert capped.times == [log.times[k] for k in kept]
