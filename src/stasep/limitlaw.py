@@ -21,9 +21,12 @@ resolvent solve.  The inner product keeps its identity component exact:
     <rho P Phi, P Psi> = <Phi, Psi>_w + psi^T (1-D)^{-1} D phi.
 
 The lambda integrals of the kernel use one Airy table per block, which the
-first term of Phi reuses.  B(lambda), Psi_j and the third term of Phi are
-one-dimensional tail integrals T(v) = int_v^inf e^{-a u} Ai(u + b) du, each
-tabulated over a whole point set in one pass (_tail_integrals).
+first term of Phi reuses.  B(lambda), B(0), Psi_j and the third term of Phi
+are one-dimensional tail integrals T(v) = int_v^inf e^{-a u} Ai(u + b) du,
+each tabulated over a whole point set on one set of Airy arguments
+(_tail_plan).  Those sets, R's rule and the column Ai(x + tau_i^2) go through
+one airy_ai call per system (def11_terms); airy_ai is elementwise, so the
+values are those of separate calls bit for bit.
 
 sum_k d/ds_k is the derivative along (1, ..., 1), taken in closed form from
 the one system at s.  Under a uniform shift of the thresholds the nodes move
@@ -141,9 +144,10 @@ _SEG_WIDTH, _SEG_NODES = 0.5, 8
 _SEG_RULE = legendre_rule(_SEG_NODES, 0.0, 1.0)
 
 
-def _tail_integrals(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT) -> np.ndarray:
-    """T(v_k) = int_{v_k}^inf e^{-a u} Ai(u + b) du at every point of the 1-D
-    array v, returned in v's order (unsorted and repeated points allowed).
+def _tail_plan(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT):
+    """The Airy arguments u + b of T(v_k) = int_{v_k}^inf e^{-a u} Ai(u + b) du
+    at every point of the 1-D array v, and `finish`, which turns Ai at those
+    arguments into T in v's order (unsorted and repeated points allowed).
 
     The points are sorted once; short Gauss-Legendre panels integrate each
     gap between neighbours, and a cumulative sum from the right adds them
@@ -162,15 +166,37 @@ def _tail_integrals(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPO
     width = np.repeat(gaps / panels, panels)
     left = np.repeat(vs[:-1], panels) + (np.arange(width.size) - np.repeat(first, panels)) * width
     u = np.concatenate([(left[:, None] + width[:, None] * _SEG_RULE.nodes[None, :]).ravel(), tail.nodes])
-    f = np.exp(-a * u) * airy_ai(u + b)
-    pieces = np.empty(vs.size)
-    pieces[-1] = np.dot(tail.weights, f[width.size * _SEG_NODES:])
-    if vs.size > 1:
-        per_panel = width * (f[: width.size * _SEG_NODES].reshape(-1, _SEG_NODES) @ _SEG_RULE.weights)
-        pieces[:-1] = np.add.reduceat(per_panel, first)
-    out = np.empty(vs.size)
-    out[order] = np.cumsum(pieces[::-1])[::-1]
-    return out
+
+    def finish(ai: np.ndarray) -> np.ndarray:
+        f = np.exp(-a * u) * ai
+        pieces = np.empty(vs.size)
+        pieces[-1] = np.dot(tail.weights, f[width.size * _SEG_NODES:])
+        if vs.size > 1:
+            per_panel = width * (f[: width.size * _SEG_NODES].reshape(-1, _SEG_NODES) @ _SEG_RULE.weights)
+            pieces[:-1] = np.add.reduceat(per_panel, first)
+        out = np.empty(vs.size)
+        out[order] = np.cumsum(pieces[::-1])[::-1]
+        return out
+
+    return u + b, finish
+
+
+def _airy_split(*args: np.ndarray):
+    """Ai at each argument array, from one airy_ai call on their concatenation
+    (airy_ai is elementwise bit for bit).  Arrays come back flat."""
+    ai = airy_ai(np.concatenate([x.ravel() for x in args]))
+    return np.split(ai, np.cumsum([x.size for x in args[:-1]]))
+
+
+def _run(plan):
+    """Evaluate one (args, finish) plan with its own airy_ai call."""
+    args, finish = plan
+    return finish(airy_ai(args))
+
+
+def _tail_integrals(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT) -> np.ndarray:
+    """T(v) of _tail_plan, evaluated on its own."""
+    return _run(_tail_plan(a, b, v, target))
 
 
 class NystromSystem:
@@ -234,6 +260,7 @@ class NystromSystem:
                 blocks[i][j] = sqw[i][:, None] * blk * sqw[j][None, :]
         self.matrix = np.block(blocks)
         self._lu: Optional[Tuple] = None
+        self._norm1: Optional[float] = None  # 1-norm of 1 - D, kept by _factor
 
     def _factor(self) -> Tuple:
         """LU of 1 - D, taken on first use (so an edit of `matrix` made
@@ -242,8 +269,18 @@ class NystromSystem:
             # imported on first use, as scipy.special: together they add
             # about 26 MB to a process that never needs the limit law
             from scipy.linalg import lu_factor
-            self._lu = lu_factor(np.eye(self.matrix.shape[0]) - self.matrix)
+            one_minus_d = np.eye(self.matrix.shape[0]) - self.matrix
+            self._norm1 = float(np.linalg.norm(one_minus_d, 1))
+            self._lu = lu_factor(one_minus_d)
         return self._lu
+
+    def cond1_estimate(self) -> float:
+        """LAPACK's estimate of the 1-norm condition number of 1 - D, from
+        the shared LU; within a factor 3 of the exact value in practice."""
+        from scipy.linalg.lapack import dgecon
+        lu, _ = self._factor()
+        rcond, _ = dgecon(lu, self._norm1, norm="1")
+        return 1.0 / rcond
 
     def slogdet(self) -> Tuple[float, float]:
         """(sign, log|det|) of 1 - D from the shared LU."""
@@ -385,85 +422,107 @@ class Def11Terms:
     psi: np.ndarray  # (m, n) tables on the system nodes
     phi: np.ndarray
     b_zero: float    # B(0) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2) dy
+    ai_shift: np.ndarray  # (m, n) table of Ai(x + tau_i^2) on the system nodes
 
 
-def _r_value(spec: MultiPointSpec) -> float:
+# Each Definition-1.1 ingredient is a plan: its Airy arguments, and a finish
+# step that turns Ai at them into the ingredient.  def11_terms evaluates every
+# plan of a system in one airy_ai call; the oracle surfaces run one plan each.
+
+
+def _r_plan(spec: MultiPointSpec):
     """R = s1 + e^{-2/3 tau1^3} int_{s1}^inf du (u - s1) Ai(u + tau1^2) e^{-tau1 u}
     (the double integral collapsed along u = x + y)."""
     t1 = spec.taus[0]
     s1 = spec.esses[0]
     rule = _airy_rule(s1, s1 + t1**2, max(-t1, 0.0), 1, TAIL_EXPONENT + max(-t1 * s1, 0.0))
     u = rule.nodes
-    integrand = (u - s1) * airy_ai(u + t1**2) * np.exp(-t1 * u)
-    return s1 + math.exp(-(2.0 / 3.0) * t1**3) * float(np.dot(rule.weights, integrand))
+
+    def finish(ai: np.ndarray) -> float:
+        integrand = (u - s1) * ai * np.exp(-t1 * u)
+        return s1 + math.exp(-(2.0 / 3.0) * t1**3) * float(np.dot(rule.weights, integrand))
+
+    return u + t1**2, finish
 
 
-def _psi_values(tau_j: float, y: np.ndarray) -> np.ndarray:
+def _r_value(spec: MultiPointSpec) -> float:
+    return _run(_r_plan(spec))
+
+
+def _psi_plan(tau_j: float, y: np.ndarray):
     """Psi_j(y) = e^{2/3 tau_j^3 + tau_j y} - int_0^inf Ai(x+y+tau_j^2) e^{-tau_j x} dx;
     the integral is e^{tau_j y} T(y) with a = tau_j, b = tau_j^2."""
-    integral = np.exp(tau_j * y) * _tail_integrals(tau_j, tau_j**2, y)
-    return np.exp((2.0 / 3.0) * tau_j**3 + tau_j * y) - integral
+    args, tail = _tail_plan(tau_j, tau_j**2, y)
+
+    def finish(ai: np.ndarray) -> np.ndarray:
+        integral = np.exp(tau_j * y) * tail(ai)
+        return np.exp((2.0 / 3.0) * tau_j**3 + tau_j * y) - integral
+
+    return args, finish
 
 
-def _b_table(spec: MultiPointSpec, lam: np.ndarray) -> np.ndarray:
+def _b_plan(spec: MultiPointSpec, lam: np.ndarray):
     """B(l) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2 + l) dy = e^{tau1 l} T(s1 + l)
     at the points lam (a = tau1, b = tau1^2)."""
     t1 = spec.taus[0]
     s1 = spec.esses[0]
     target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
-    return np.exp(t1 * lam) * _tail_integrals(t1, t1**2, s1 + lam, target)
+    args, tail = _tail_plan(t1, t1**2, s1 + lam, target)
+    return args, lambda ai: np.exp(t1 * lam) * tail(ai)
 
 
-def _phi_values(
-    spec: MultiPointSpec,
-    i: int,
-    x: np.ndarray,
-    ai_x: np.ndarray,
-    lam: np.ndarray,
-    lam_w: np.ndarray,
-    b_table: np.ndarray,
-) -> np.ndarray:
-    """Phi_i(x) on the points x, i 0-based; ai_x holds Ai(x + tau_i^2 + l) on
-    the lambda grid and b_table holds B(l) there (see _b_table)."""
+def _b_table(spec: MultiPointSpec, lam: np.ndarray) -> np.ndarray:
+    return _run(_b_plan(spec, lam))
+
+
+def _phi_plan(spec: MultiPointSpec, i: int, x: np.ndarray, lam: np.ndarray, lam_w: np.ndarray):
+    """Phi_i(x) on the points x, i 0-based.  Its finish also takes ai_x, which
+    holds Ai(x + tau_i^2 + l) on the lambda grid, and b_table, B(l) there."""
     taus = spec.taus
     t1 = taus[0]
     ti = taus[i]
-    term1 = math.exp(-(2.0 / 3.0) * t1**3) * (
-        ai_x @ (lam_w * np.exp(-lam * (t1 - ti)) * b_table)
-    )
-    if i >= 1:
-        delta = ti - t1
-        tail = gaussian_tail_integral(spec.esses[0] - x, delta)
-        term2 = (
-            np.exp(-(2.0 / 3.0) * ti**3 - ti * x)
-            / math.sqrt(4.0 * math.pi * delta)
-            * tail
-        )
-    else:
-        term2 = 0.0
     # int_0^inf Ai(x + tau_i^2 + y) e^{tau_i y} dy = e^{-tau_i x} T(x), a = -tau_i
-    term3 = np.exp(-ti * x) * _tail_integrals(-ti, ti**2, x)
-    return term1 + term2 - term3
+    args, tail = _tail_plan(-ti, ti**2, x)
+
+    def finish(ai: np.ndarray, ai_x: np.ndarray, b_table: np.ndarray) -> np.ndarray:
+        term1 = math.exp(-(2.0 / 3.0) * t1**3) * (ai_x @ (lam_w * np.exp(-lam * (t1 - ti)) * b_table))
+        term2 = 0.0
+        if i >= 1:
+            delta = ti - t1
+            gauss = gaussian_tail_integral(spec.esses[0] - x, delta)
+            term2 = np.exp(-(2.0 / 3.0) * ti**3 - ti * x) / math.sqrt(4.0 * math.pi * delta) * gauss
+        term3 = np.exp(-ti * x) * tail(ai)
+        return term1 + term2 - term3
+
+    return args, finish
 
 
 def def11_terms(sysm: NystromSystem) -> Def11Terms:
-    """R, Psi_j, Phi_i tabulated at the nodes of sysm, and B(0)."""
+    """R, Psi_j, Phi_i and Ai(x + tau_i^2) tabulated at the nodes of sysm, and
+    B(0), from one airy_ai call over all their arguments."""
     spec = sysm.spec
-    b_table = _b_table(spec, sysm.lam)
-    psi = np.stack([_psi_values(spec.taus[j], sysm.nodes[j]) for j in range(spec.m)])
-    phi = np.stack(
-        [
-            _phi_values(spec, i, sysm.nodes[i], sysm.ai_tables[i], sysm.lam, sysm.lam_w, b_table)
-            for i in range(spec.m)
-        ]
+    m = spec.m
+    b_args, b_finish = _b_plan(spec, sysm.lam)
+    b0_args, b0_finish = _b_plan(spec, np.zeros(1))
+    r_args, r_finish = _r_plan(spec)
+    psi_plans = [_psi_plan(spec.taus[j], sysm.nodes[j]) for j in range(m)]
+    phi_plans = [_phi_plan(spec, i, sysm.nodes[i], sysm.lam, sysm.lam_w) for i in range(m)]
+    shift_args = [x + t**2 for x, t in zip(sysm.nodes, spec.taus)]
+    ai_b, ai_b0, ai_r, *ai = _airy_split(
+        b_args, b0_args, r_args, *(p[0] for p in psi_plans), *(p[0] for p in phi_plans), *shift_args
     )
-    b_zero = float(_b_table(spec, np.zeros(1))[0])
-    return Def11Terms(r_value=_r_value(spec), psi=psi, phi=phi, b_zero=b_zero)
+    b_table = b_finish(ai_b)
+    psi = [finish(v) for (_, finish), v in zip(psi_plans, ai[:m])]
+    phi = [finish(v, table, b_table) for (_, finish), v, table in zip(phi_plans, ai[m : 2 * m], sysm.ai_tables)]
+    return Def11Terms(
+        r_value=r_finish(ai_r), psi=np.stack(psi), phi=np.stack(phi),
+        b_zero=float(b0_finish(ai_b0)[0]), ai_shift=np.stack(ai[2 * m :]),
+    )
 
 
 def psi_function(spec: MultiPointSpec, j: int, y) -> np.ndarray:
     """Psi_j at arbitrary points (j 1-based); test/oracle surface."""
-    return _psi_values(spec.taus[j - 1], np.atleast_1d(np.asarray(y, dtype=float)))
+    return _run(_psi_plan(spec.taus[j - 1], np.atleast_1d(np.asarray(y, dtype=float))))
 
 
 def phi_function(spec: MultiPointSpec, i: int, x) -> np.ndarray:
@@ -471,8 +530,11 @@ def phi_function(spec: MultiPointSpec, i: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam_rule = _lambda_rule(spec)
     lam = lam_rule.nodes
-    ai_x = airy_ai(x[:, None] + spec.taus[i - 1] ** 2 + lam[None, :])
-    return _phi_values(spec, i - 1, x, ai_x, lam, lam_rule.weights, _b_table(spec, lam))
+    table_args = x[:, None] + spec.taus[i - 1] ** 2 + lam[None, :]
+    b_args, b_finish = _b_plan(spec, lam)
+    args, finish = _phi_plan(spec, i - 1, x, lam, lam_rule.weights)
+    ai_x, ai_b, ai = _airy_split(table_args, b_args, args)
+    return finish(ai, ai_x.reshape(table_args.shape), b_finish(ai_b))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +572,7 @@ def _shift_derivatives(
 ) -> Tuple[float, float]:
     """(d log det, dg) along (1, ..., 1), from the identities in the module
     docstring and three solves against the system's LU."""
-    a = sysm.balanced([airy_ai(x + t**2) for x, t in zip(sysm.nodes, spec.taus)])
+    a = sysm.balanced(terms.ai_shift)
     ra, v = sysm.solve(np.stack([a, sysm.balanced(terms.phi)], axis=1)).T
     u = sysm.solve(sysm.balanced(terms.psi), transpose=True)
     dr = 1.0 - math.exp(-(2.0 / 3.0) * spec.taus[0] ** 3) * terms.b_zero
@@ -551,6 +613,7 @@ def limit_cdf(
             "nodes": spec.m * quad.n,
             "lam_nodes": int(base.lam.size),
             "logdet": base.slogdet()[1],
+            "cond1_est": base.cond1_estimate(),
         },
     )
 

@@ -7,6 +7,7 @@ doubles as a cross-check against the classical GUE Tracy-Widom CDF at 0."""
 import numpy as np
 import pytest
 
+from stasep import limitlaw
 from stasep.errors import AccuracyError, InvertibilityError, ParameterError
 from stasep.limitlaw import (
     MultiPointSpec,
@@ -206,6 +207,34 @@ def test_limit_cdf_builds_one_system(monkeypatch):
         assert d["logdet"] == pytest.approx(np.log(res.det_value), abs=1e-13)
         assert d["nodes"] == len(taus) * Q.n and len(d["lengths"]) == len(taus)
         assert d["lam_len"] >= 16.0 and d["lam_nodes"] > 0
+
+
+def test_limit_cdf_calls_airy_once_per_block_and_once_more(monkeypatch):
+    # one Airy table per block, and one call for the whole Definition-1.1
+    # stage (B, B(0), Psi, Phi's third term, R and the shift column)
+    calls = []
+    airy_ai = limitlaw.airy_ai
+
+    def counting_airy(x):
+        calls.append(np.size(x))
+        return airy_ai(x)
+
+    monkeypatch.setattr(limitlaw, "airy_ai", counting_airy)
+    for taus in ((0.0,), (-1.0, 1.0), (-1.0, 0.0, 1.0)):
+        calls.clear()
+        limit_cdf(MultiPointSpec(taus, (0.5,) * len(taus)), Q)
+        assert len(calls) == len(taus) + 1, (taus, calls)
+
+
+def test_cond1_estimate_brackets_exact_condition():
+    # LAPACK's estimate is a lower bound on the 1-norm condition number, in
+    # practice within a factor 3 of it
+    for taus in ((0.0,), (-1.0, 1.0)):
+        spec = MultiPointSpec(taus, (0.0,) * len(taus))
+        res = limit_cdf(spec, Q)
+        sysm = NystromSystem(spec, Q)
+        exact = np.linalg.cond(np.eye(sysm.matrix.shape[0]) - sysm.matrix, 1)
+        assert exact / 3.0 <= res.diagnostics["cond1_est"] <= exact * (1.0 + 1e-9), taus
 
 
 def _richardson_cdf(spec, h=2e-3):

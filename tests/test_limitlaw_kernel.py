@@ -147,13 +147,22 @@ def test_def11_tables_match_oracles():
 
 
 def test_def11_node_tables_consistent_with_functions():
-    spec = MultiPointSpec((-0.5, 0.5), (-1.0, 0.5))
-    quad = QuadratureConfig(n=24)
-    sysm = NystromSystem(spec, quad)
-    terms = def11_terms(sysm)
-    for j in (1, 2):
-        vals = psi_function(spec, j, sysm.nodes[j - 1])
-        assert np.allclose(terms.psi[j - 1], vals, atol=1e-12)
+    # def11_terms evaluates every ingredient in one airy_ai call; each oracle
+    # surface makes its own call, and the values agree bit for bit
+    for spec, n in (
+        (MultiPointSpec((-0.5, 0.5), (-1.0, 0.5)), 24),
+        (MultiPointSpec((0.0,), (0.0,)), 64),
+        (MultiPointSpec((-2.0,), (-3.0,)), 64),
+        (MultiPointSpec((-0.7, 0.2, 1.1), (-0.5, 0.3, 1.0)), 64),
+    ):
+        sysm = NystromSystem(spec, QuadratureConfig(n=n))
+        terms = def11_terms(sysm)
+        for k in range(spec.m):
+            assert np.array_equal(terms.psi[k], psi_function(spec, k + 1, sysm.nodes[k]))
+            assert np.array_equal(terms.phi[k], phi_function(spec, k + 1, sysm.nodes[k]))
+            assert np.array_equal(terms.ai_shift[k], airy_ai(sysm.nodes[k] + spec.taus[k] ** 2))
+        assert terms.b_zero == _b_table(spec, np.zeros(1))[0]
+        assert terms.r_value == _r_value(spec)
 
 
 def test_tail_integrals_match_2d_quadrature():

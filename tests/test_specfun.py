@@ -177,6 +177,41 @@ def test_maclaurin_early_stop_is_bitwise():
     assert specfun._maclaurin(np.empty(0)).size == 0
 
 
+def test_airy_is_elementwise_bitwise():
+    # limitlaw.def11_terms evaluates many argument sets in one call and splits
+    # the result; that is exact only if each value is independent of the rest
+    # of the array, bit for bit
+    joints = np.array([-7.6, -4.3, 3.95, 7.6, 107.47])
+    edges = np.concatenate([np.nextafter(joints, -np.inf), joints, np.nextafter(joints, np.inf)])
+    rng = np.random.default_rng(17)
+    every_branch = np.concatenate([
+        edges,
+        rng.uniform(-40.0, -7.6, 50),   # oscillatory asymptotic
+        rng.uniform(-7.6, -4.3, 50),    # negative Chebyshev fit
+        rng.uniform(-4.3, 3.95, 50),    # Maclaurin
+        rng.uniform(3.95, 7.6, 50),     # positive Chebyshev fit
+        rng.uniform(7.6, 107.47, 50),   # Chebyshev in 1/zeta
+        rng.uniform(107.47, 200.0, 10), # underflow to 0
+        [0.0, -0.0, 1e-300],
+    ])
+    rng.shuffle(every_branch)
+    pairs = [
+        (every_branch[:137], every_branch[137:]),
+        (every_branch[:1], every_branch[1:]),
+        (every_branch, every_branch[::-1]),
+        # Maclaurin arguments of different max |x|, so _first_check differs
+        # between the halves and the whole
+        (rng.uniform(-0.05, 0.05, 33), rng.uniform(-4.29, 3.9, 65)),
+        (np.array([0.5, -1.0, 1e-9]), np.linspace(-4.25, 3.9, 40)),
+    ]
+    for a, b in pairs:
+        whole = airy_ai(np.concatenate([a, b]))
+        assert np.array_equal(whole, np.concatenate([airy_ai(a), airy_ai(b)]))
+    # a scalar argument against its place in the whole array
+    for x, v in zip(every_branch, airy_ai(every_branch)):
+        assert airy_ai(float(x)) == v, x
+
+
 def test_composite_rule_matches_per_panel_rules():
     rng = np.random.default_rng(5)
     cases = [(0.0, 20.0, 14, 24), (-3.3, 0.0, 7, 16), (1.234, 57.89, 39, 24), (5.0, 5.5, 1, 8)]
