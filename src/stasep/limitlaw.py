@@ -20,8 +20,9 @@ resolvent solve.  The inner product keeps its identity component exact:
 
     <rho P Phi, P Psi> = <Phi, Psi>_w + psi^T (1-D)^{-1} D phi.
 
-The lambda integrals of the kernel use one Airy table per block, which the
-first term of Phi reuses.  B(lambda), B(0), Psi_j and the third term of Phi
+The lambda integrals of the kernel use one Airy table per distinct block
+(equal tau_i^2, s_i and interval length give equal tables), which the first
+term of Phi reuses.  B(lambda), B(0), Psi_j and the third term of Phi
 are one-dimensional tail integrals T(v) = int_v^inf e^{-a u} Ai(u + b) du,
 each tabulated over a whole point set on one set of Airy arguments
 (_tail_plan).  Those sets, R's rule and the column Ai(x + tau_i^2) go through
@@ -111,20 +112,33 @@ TAIL_EXPONENT = 42.0
 PANEL_WIDTH, PANEL_NODES = 1.5, 24
 
 
+# log max|Ai| (max|Ai| = 0.53566 at t = -1.0188), rounded up
+_LOG_AI_MAX = -0.6241
+_LOG_TWO_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
+
+
 def _airy_log_envelope(t: float) -> float:
-    """log upper bound for |Ai(t)|; ~ -2/3 t^(3/2) on t>0, O(1) below."""
+    """An upper bound on log|Ai(t)|: log max|Ai| on t <= 0, and on t > 0 the
+    smaller of that and log(e^{-2/3 t^(3/2)} / (2 sqrt(pi) t^(1/4))), which
+    bounds Ai(t) from above (DLMF 9.7.15)."""
     if t <= 0.0:
-        return -1.0
-    return -(2.0 / 3.0) * t**1.5 - 0.25 * math.log(max(t, 1.0)) - 1.26
+        return _LOG_AI_MAX
+    return min(_LOG_AI_MAX, -(2.0 / 3.0) * t**1.5 - 0.25 * math.log(t) - _LOG_TWO_SQRT_PI)
 
 
 def _airy_rule(lo: float, shift: float, rate: float, factors: int, target: float = TAIL_EXPONENT):
     """Composite rule on [lo, lo + L] for an integrand of `factors` (1 or 2)
     Airy factors, each decaying like Ai(l - lo + shift), against e^{rate (l - lo)}.
-    L is the first rung of the ladder 16, 20, ..., 160 at which the envelope
-    certifies the dropped tail below e^-target (160 if none does)."""
-    length = 16.0
-    while length < 160.0 and -factors * _airy_log_envelope(length + shift) - rate * length < target:
+    L is the first rung of the ladder 4, 8, ..., 160 (160 if none) at which
+    the cut is certified: the envelope of the integrand decays past L at
+    least like e^{-(l - L)}, because factors sqrt(L + shift) >= rate + 1, so
+    the dropped tail is at most the envelope at L, and that is below
+    e^-target."""
+    length = 4.0
+    while length < 160.0 and not (
+        factors * math.sqrt(max(length + shift, 0.0)) >= rate + 1.0
+        and -factors * _airy_log_envelope(length + shift) - rate * length >= target
+    ):
         length += 4.0
     return composite_rule(lo, lo + length, int(np.ceil(length / PANEL_WIDTH)), PANEL_NODES)
 
@@ -243,11 +257,16 @@ class NystromSystem:
         self.lam_w = lam_rule.weights
         self.lam_len = lam_rule.interval[1]
 
-        # Ai(x_p^(i) + tau_i^2 + lambda_l), one table per block index
-        self.ai_tables = [
-            airy_ai(self.nodes[i][:, None] + taus[i] ** 2 + self.lam[None, :])
-            for i in range(m)
-        ]
+        # Ai(x_p^(i) + tau_i^2 + lambda_l) for each block index i, evaluated
+        # once per distinct (tau_i^2, s_i, length_i): equal keys give equal
+        # nodes, so a shared table is the one a separate call would give
+        tables = {}
+        self.ai_tables = []
+        for i in range(m):
+            key = (taus[i] ** 2, esses[i], lengths[i])
+            if key not in tables:
+                tables[key] = airy_ai(self.nodes[i][:, None] + taus[i] ** 2 + self.lam[None, :])
+            self.ai_tables.append(tables[key])
 
         blocks = [[None] * m for _ in range(m)]
         for i in range(m):
@@ -264,14 +283,21 @@ class NystromSystem:
 
     def _factor(self) -> Tuple:
         """LU of 1 - D, taken on first use (so an edit of `matrix` made
-        before then is seen) and shared by det, slogdet and the resolvent."""
+        before then is seen) and shared by det, slogdet and the resolvent.
+        LAPACK's dgetrf directly, with scipy.linalg.lu_factor's checks; an
+        exactly singular factor (info > 0) is left to det's sign check."""
         if self._lu is None:
             # imported on first use, as scipy.special: together they add
             # about 26 MB to a process that never needs the limit law
-            from scipy.linalg import lu_factor
+            from scipy.linalg.lapack import dgetrf
             one_minus_d = np.eye(self.matrix.shape[0]) - self.matrix
+            if not np.isfinite(one_minus_d).all():
+                raise ValueError("Nystrom matrix must contain only finite numbers")
             self._norm1 = float(np.linalg.norm(one_minus_d, 1))
-            self._lu = lu_factor(one_minus_d)
+            lu, piv, info = dgetrf(one_minus_d, overwrite_a=True)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dgetrf")
+            self._lu = (lu, piv)
         return self._lu
 
     def cond1_estimate(self) -> float:
@@ -309,8 +335,13 @@ class NystromSystem:
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """(1-D)^{-1} rhs, or (1-D)^{-T} rhs, from the shared LU."""
-        from scipy.linalg import lu_solve
-        return lu_solve(self._factor(), rhs, trans=1 if transpose else 0)
+        from scipy.linalg.lapack import dgetrs
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must contain only finite numbers")
+        x, info = dgetrs(*self._factor(), rhs, trans=1 if transpose else 0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrs")
+        return x
 
     def resolvent_inner(self, phi: np.ndarray, psi: np.ndarray) -> float:
         """<rho P Phi, P Psi> with the identity component kept exact.

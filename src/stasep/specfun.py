@@ -93,21 +93,23 @@ def _maclaurin(x: np.ndarray) -> np.ndarray:
     can change a bit.  From k = 3 on each term is at most 4.3^3/132 < 0.61 of
     the one before, so once adding +-|t| leaves every partial sum unchanged,
     so does every later term, and the result equals the 40-term sum bit for
-    bit.  The check starts where the largest |x| could first pass it."""
+    bit.  The check starts where the largest |x| could first pass it.  The f
+    and g series advance as the two rows of one array, with the operations
+    of two separate sums."""
     x3 = x * x * x
-    f = np.ones_like(x)
-    g = x.copy()
-    tf = np.ones_like(x)
-    tg = x.copy()
+    sums = np.stack([np.ones_like(x), x])
+    terms = sums.copy()
+    denom = np.empty((2, 1))
     first_check = _first_check(float(np.max(np.abs(x)))) if x.size else 2
     for k in range(40):
-        tf = tf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
-        tg = tg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
-        f += tf
-        g += tg
-        if k >= first_check and _absorbed(f, tf) and _absorbed(g, tg):
+        denom[0, 0] = (3 * k + 2.0) * (3 * k + 3.0)
+        denom[1, 0] = (3 * k + 3.0) * (3 * k + 4.0)
+        terms *= x3
+        terms /= denom
+        sums += terms
+        if k >= first_check and _absorbed(sums, terms):
             break
-    return _AI0 * f + _DAI0 * g
+    return _AI0 * sums[0] + _DAI0 * sums[1]
 
 
 def _first_check(xmax: float) -> int:
@@ -152,8 +154,23 @@ def _asym_neg(x: np.ndarray) -> np.ndarray:
 
 
 def _chebval_on(c: np.ndarray, lo: float, hi: float, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(t) at t = (2x - lo - hi)/(hi - lo): numpy's chebval
+    Clenshaw recurrence, the same operations in the same order, run in place
+    on three buffers."""
     t = (2.0 * x - (lo + hi)) / (hi - lo)
-    return np.polynomial.chebyshev.chebval(t, c)
+    t2 = 2.0 * t
+    c0 = np.full_like(t, c[-2])
+    c1 = np.full_like(t, c[-1])
+    tmp = np.empty_like(t)
+    for i in range(3, len(c) + 1):
+        # (c0, c1) <- (c[-i] - c1, c0 + c1 t2)
+        np.multiply(c1, t2, out=tmp)
+        tmp += c0
+        np.subtract(c[-i], c1, out=c0)
+        c1, tmp = tmp, c1
+    np.multiply(c1, t, out=tmp)
+    tmp += c0
+    return tmp
 
 
 def airy_ai(x):

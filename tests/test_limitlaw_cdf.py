@@ -112,11 +112,14 @@ def test_limit_cdf_monotone_in_s():
 
 
 def test_limit_cdf_symmetry_in_tau():
-    for tau in (0.5, 1.0, 2.0):
-        for s in (-2.0, 0.0, 2.0):
-            fp = limit_cdf(MultiPointSpec((tau,), (s,)), Q).f_value
-            fm = limit_cdf(MultiPointSpec((-tau,), (s,)), Q).f_value
-            assert abs(fp - fm) <= 1e-6
+    # F(tau, s) = F(-tau, s), over the s range where the truncations bite;
+    # the bound was fixed before measuring (the gaps read 8.5e-14, 9.5e-13
+    # and 5.9e-11 at |tau| = 1, 2 and 2.5)
+    for tau in (0.5, 1.0, 2.0, 2.5):
+        for s in range(-10, 9):
+            fp = limit_cdf(MultiPointSpec((tau,), (float(s),)), Q).f_value
+            fm = limit_cdf(MultiPointSpec((-tau,), (float(s),)), Q).f_value
+            assert abs(fp - fm) <= 1e-10, (tau, s, fp, fm)
 
 
 def test_limit_cdf_m2_and_marginalization():
@@ -201,17 +204,30 @@ def test_limit_cdf_builds_one_system(monkeypatch):
     monkeypatch.setattr(NystromSystem, "__init__", counting_init)
     for taus in ((0.0,), (-1.0, 1.0), (-1.0, 0.0, 1.0)):
         built.clear()
-        res = limit_cdf(MultiPointSpec(taus, (0.5,) * len(taus)), Q)
+        spec = MultiPointSpec(taus, (0.5,) * len(taus))
+        res = limit_cdf(spec, Q)
         assert built == [(0.5,) * len(taus)] and res.diagnostics["systems_built"] == 1
         d = res.diagnostics
         assert d["logdet"] == pytest.approx(np.log(res.det_value), abs=1e-13)
         assert d["nodes"] == len(taus) * Q.n and len(d["lengths"]) == len(taus)
-        assert d["lam_len"] >= 16.0 and d["lam_nodes"] > 0
+        # the lambda grid is cut at the first certified rung of 4, 8, ...
+        assert d["lam_nodes"] > 0 and _lambda_cut_certified(d["lam_len"], spec)
+        assert d["lam_len"] == 4.0 or not _lambda_cut_certified(d["lam_len"] - 4.0, spec)
 
 
-def test_limit_cdf_calls_airy_once_per_block_and_once_more(monkeypatch):
-    # one Airy table per block, and one call for the whole Definition-1.1
-    # stage (B, B(0), Psi, Phi's third term, R and the shift column)
+def _lambda_cut_certified(length, spec):
+    """The two conditions of the lambda grid's cut: its two-factor Airy
+    integrand decays past `length` at least like e^{-(l - length)}, and its
+    envelope there is below e^-TAIL_EXPONENT."""
+    shift = min(spec.esses) + min(t * t for t in spec.taus)
+    rate = spec.taus[-1] - spec.taus[0]
+    decays = 2.0 * np.sqrt(max(length + shift, 0.0)) >= rate + 1.0
+    small = -2.0 * limitlaw._airy_log_envelope(length + shift) - rate * length >= limitlaw.TAIL_EXPONENT
+    return decays and small
+
+
+def _counting_airy(monkeypatch):
+    """Route limitlaw's airy_ai through a recorder of each call's size."""
     calls = []
     airy_ai = limitlaw.airy_ai
 
@@ -220,10 +236,38 @@ def test_limit_cdf_calls_airy_once_per_block_and_once_more(monkeypatch):
         return airy_ai(x)
 
     monkeypatch.setattr(limitlaw, "airy_ai", counting_airy)
-    for taus in ((0.0,), (-1.0, 1.0), (-1.0, 0.0, 1.0)):
+    return calls
+
+
+def test_limit_cdf_calls_airy_once_per_distinct_table_and_once_more(monkeypatch):
+    # one Airy table per distinct (tau_i^2, s_i, length_i), and one call for
+    # the whole Definition-1.1 stage (B, B(0), Psi, Phi's third term, R and
+    # the shift column)
+    calls = _counting_airy(monkeypatch)
+    cases = [
+        ((0.0,), (0.5,), 2),
+        ((-1.0, 1.0), (-1.0, -1.0), 2),
+        ((-1.0, 1.0), (-1.0, 0.0), 3),
+        ((-1.0, 0.0, 1.0), (-1.0, -1.0, -1.0), 3),
+        ((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 4),
+    ]
+    for taus, esses, expected in cases:
         calls.clear()
-        limit_cdf(MultiPointSpec(taus, (0.5,) * len(taus)), Q)
-        assert len(calls) == len(taus) + 1, (taus, calls)
+        limit_cdf(MultiPointSpec(taus, esses), Q)
+        assert len(calls) == expected, (taus, esses, calls)
+
+
+def test_airy_evaluations_per_cdf_point(monkeypatch):
+    # a timing-free guard on the limit law's dominant cost: the mean number
+    # of Airy arguments per point on the CLI's default grid, for tau = (0,)
+    # and for tau = (-1, 1) at s = (s, s); both counts are deterministic
+    calls = _counting_airy(monkeypatch)
+    grid = [-4.0 + 0.5 * k for k in range(17)]
+    for taus, bound in (((0.0,), 15404), ((-1.0, 1.0), 24324)):
+        calls.clear()
+        for s in grid:
+            limit_cdf(MultiPointSpec(taus, (s,) * len(taus)), Q)
+        assert sum(calls) / len(grid) <= bound, (taus, sum(calls) / len(grid))
 
 
 def test_cond1_estimate_brackets_exact_condition():
@@ -274,3 +318,23 @@ def test_shared_lu_matches_numpy():
         assert sysm.resolvent_inner(terms.phi, terms.psi) == pytest.approx(ref, rel=1e-13)
         ok, diag = invertibility_guard(spec, Q)
         assert ok and diag["det"] == pytest.approx(sysm.det, rel=1e-13)
+
+
+def test_solve_matches_scipy_lu_solve_bitwise():
+    from scipy.linalg import lu_factor, lu_solve
+
+    rng = np.random.default_rng(11)
+    for taus in ((0.0,), (-1.0, 1.0)):
+        sysm = NystromSystem(MultiPointSpec(taus, (0.0,) * len(taus)), Q)
+        ref_lu = lu_factor(np.eye(sysm.matrix.shape[0]) - sysm.matrix)
+        for rhs in (rng.standard_normal(sysm.matrix.shape[0]), rng.standard_normal((sysm.matrix.shape[0], 2))):
+            for transpose in (False, True):
+                got = sysm.solve(rhs, transpose=transpose)
+                assert np.array_equal(got, lu_solve(ref_lu, rhs, trans=1 if transpose else 0)), taus
+        with pytest.raises(ValueError):
+            sysm.solve(np.full(sysm.matrix.shape[0], np.nan))
+    # a non-finite kernel entry is refused before LAPACK sees it
+    sysm = NystromSystem(MultiPointSpec((0.0,), (0.0,)), Q)
+    sysm.matrix[0, 0] = np.inf
+    with pytest.raises(ValueError):
+        _ = sysm.det

@@ -19,6 +19,7 @@ from stasep.limitlaw import (
     phi_function,
     psi_function,
     NystromSystem,
+    _airy_log_envelope,
     _b_table,
     _r_value,
     _tail_integrals,
@@ -236,3 +237,13 @@ def test_phi_and_r_shift_identities():
     quad = QuadratureConfig(n=24)
     terms = def11_terms(NystromSystem(SHIFT_SPEC, quad))
     assert terms.b_zero == b_zero
+
+
+def test_airy_log_envelope_bounds_ai():
+    # every truncation certificate rests on |Ai(t)| <= exp(envelope(t))
+    t = np.linspace(-40.0, 100.0, 140_001)
+    env = np.array([_airy_log_envelope(float(v)) for v in t])
+    assert np.all(np.abs(airy_ai(t)) <= np.exp(env))
+    # it is tight where the maximum of |Ai| sits and where Ai decays
+    assert airy_ai(-1.0188) / np.exp(_airy_log_envelope(-1.0188)) > 0.9998
+    assert airy_ai(30.0) / np.exp(_airy_log_envelope(30.0)) > 0.999

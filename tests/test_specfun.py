@@ -212,6 +212,22 @@ def test_airy_is_elementwise_bitwise():
         assert airy_ai(float(x)) == v, x
 
 
+def test_chebval_on_matches_numpy_chebval_bitwise():
+    from numpy.polynomial.chebyshev import chebval
+
+    tables = [
+        (specfun._CHEB_NEG, specfun._CHEB_NEG_LO, specfun._CHEB_NEG_HI, specfun._XA, specfun._XB),
+        (specfun._CHEB_POS_SCALED, specfun._CHEB_POS_LO, specfun._CHEB_POS_HI, specfun._XC, specfun._XD),
+        # the 1/zeta series at 1/zeta(x) for x over its branch [7.6, 107.47)
+        (specfun._CHEB_INV_ZETA, 0.0, specfun._INV_ZETA_HI, 1.0 / ((2.0 / 3.0) * 107.47**1.5), 1.0 / ((2.0 / 3.0) * 7.6**1.5)),
+    ]
+    for c, lo, hi, a, b in tables:
+        x = np.linspace(a, b, 20_001)
+        ref = chebval((2.0 * x - (lo + hi)) / (hi - lo), c)
+        assert np.array_equal(specfun._chebval_on(c, lo, hi, x), ref)
+        assert np.array_equal(specfun._chebval_on(c, lo, hi, x[:1]), ref[:1])
+
+
 def test_composite_rule_matches_per_panel_rules():
     rng = np.random.default_rng(5)
     cases = [(0.0, 20.0, 14, 24), (-3.3, 0.0, 7, 16), (1.234, 57.89, 39, 24), (5.0, 5.5, 1, 8)]
