@@ -27,8 +27,6 @@ from .limitlaw import (
     LimitLawResult,
     MultiPointSpec,
     QuadratureConfig,
-    fredholm_det,
-    g_m,
     invertibility_guard,
     khat,
     khat_dual_check,
@@ -39,16 +37,14 @@ from .lpp import (
     brute_force_last_passage,
     last_passage,
     last_passage_batch,
-    last_passage_point_to_point,
 )
-from .rng import CounterStream, SeedSpec, sample_exp, sample_geom
+from .rng import CounterStream, SeedSpec, sample_geom
 from .scaling import (
     ScalingFrame,
     characteristic_ratio,
     rescale_at_point,
     rescale_sample,
     scale_dpp,
-    scale_dpp_ext,
     scale_height,
     scale_particle,
 )

@@ -17,6 +17,7 @@ byte-identical bodies.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,6 +80,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(parse):
+    """json's hook for one kind of number (NaN and Infinity are floats): a
+    config number must be finite as a float, which an int may stand for."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"config number {text} is not finite")
+        return parse(text)
+    return hook
+
+
 def load_config(subcommand: str, path):
     """The defaults of `subcommand` overridden by the JSON object at `path`;
     each key takes the type of its default (an int may stand for a float)."""
@@ -86,7 +97,8 @@ def load_config(subcommand: str, path):
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                user = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                                 parse_constant=_finite(float))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if type(user) is not dict:
@@ -110,6 +122,8 @@ def load_config(subcommand: str, path):
             raise ConfigError("config key 'obs_lo' must be <= obs_hi")
         if "n_samples" in cfg and cfg["n_samples"] < 1:
             raise ConfigError("config key 'n_samples' must be >= 1")
+        if "master_seed" in cfg and not 0 <= cfg["master_seed"] < 2**64:
+            raise ConfigError("config key 'master_seed' must lie in [0, 2**64)")
     return cfg
 
 

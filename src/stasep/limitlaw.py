@@ -58,6 +58,7 @@ from .errors import AccuracyError, InvertibilityError, ParameterError
 from .specfun import airy_ai, composite_rule, gaussian_tail_integral, legendre_rule
 
 M_CAP = 8
+ALARM_BAND = 1e-3  # limit_cdf refuses an F outside [-ALARM_BAND, 1 + ALARM_BAND]
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,6 @@ class MultiPointSpec:
     @property
     def m(self) -> int:
         return len(self.taus)
-
-    def with_esses(self, esses) -> "MultiPointSpec":
-        return MultiPointSpec(self.taus, tuple(esses))
 
 
 @dataclass(frozen=True)
@@ -569,25 +567,7 @@ def phi_function(spec: MultiPointSpec, i: int, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# determinant, g_m, and the CDF
-
-
-def fredholm_det(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """det(1 - P_s Khat P_s) by the balanced Nystrom discretization."""
-    return NystromSystem(spec, quad).det
-
-
-def g_m(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig(), system: Optional[NystromSystem] = None) -> float:
-    """g_m(tau, s) = R - <rho P_s Phi, P_s Psi>.
-
-    The sign matches the finite-size functional this is the limit of
-    (R enters with +, the resolvent pairing of Phi against Psi with -);
-    with + the tau -> -tau symmetry of the one-point law fails, which pins
-    the sign unambiguously.
-    """
-    sysm = system if system is not None else NystromSystem(spec, quad)
-    terms = def11_terms(sysm)
-    return terms.r_value - sysm.resolvent_inner(terms.phi, terms.psi)
+# the CDF
 
 
 @dataclass
@@ -613,22 +593,22 @@ def _shift_derivatives(
     return float(a @ ra), dr - dpairing
 
 
-def limit_cdf(
-    spec: MultiPointSpec,
-    quad: QuadratureConfig = QuadratureConfig(),
-    alarm_band: float = 1e-3,
-) -> LimitLawResult:
+def limit_cdf(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig()) -> LimitLawResult:
     """F = sum_k d/ds_k (g_m * det) = det * (g' + g * (log det)'), the
-    derivative along (1, ..., 1) in closed form from the one system at s."""
+    derivative along (1, ..., 1) in closed form from the one system at s.
+
+    g_m = R - <rho P_s Phi, P_s Psi>: the sign matches the finite-size
+    functional this is the limit of, and with + the tau -> -tau symmetry of
+    the one-point law fails."""
     base = NystromSystem(spec, quad)
     det0 = base.det
     terms = def11_terms(base)
     g0 = terms.r_value - base.resolvent_inner(terms.phi, terms.psi)
     dlogdet, dg = _shift_derivatives(spec, base, terms)
     f = det0 * (dg + g0 * dlogdet)
-    if not (-alarm_band <= f <= 1.0 + alarm_band):
+    if not (-ALARM_BAND <= f <= 1.0 + ALARM_BAND):
         raise AccuracyError(
-            f"limit CDF value {f} outside [-{alarm_band}, 1+{alarm_band}]: "
+            f"limit CDF value {f} outside [-{ALARM_BAND}, 1+{ALARM_BAND}]: "
             "numerics alarm"
         )
     return LimitLawResult(

@@ -47,7 +47,6 @@ def _check_points(points: Sequence[Point]) -> List[Point]:
 @dataclass
 class PassageResult:
     values: Dict[Point, float]
-    sample_index: int
 
 
 def _diagonal_runs(stops, d_max: int):
@@ -140,7 +139,7 @@ def last_passage(oracle: WeightOracle, points: Sequence[Point]) -> PassageResult
     reach = _row_reach(pts)
     g = _sweep(oracle.cell_weights, reach, 1, pts)
     vals = {p: float(v[0]) for p, v in zip(pts, g)}
-    return PassageResult(values=vals, sample_index=oracle.seed.sample_index)
+    return PassageResult(values=vals)
 
 
 def last_passage_batch(
@@ -159,24 +158,6 @@ def last_passage_batch(
     bw = BatchWeights(params, master_seed, sample_indices)
     g = _sweep(bw.cells, reach, len(bw.keys), [(int(p[0]), int(p[1])) for p in points])
     return g.T
-
-
-def last_passage_point_to_point(
-    oracle: WeightOracle, frm: Point, to: Point
-) -> float:
-    """Max path weight over up-right paths constrained to start at `frm`."""
-    fx, fy = int(frm[0]), int(frm[1])
-    tx, ty = int(to[0]), int(to[1])
-    if fx < 0 or fy < 0:
-        raise DomainError(f"start point {frm} outside the first quadrant")
-    if fx > tx or fy > ty:
-        raise DomainError(f"start {frm} not componentwise <= end {to}")
-    rows = ty - fy + 1
-    g = _sweep(
-        lambda c, r: oracle.cell_weights(c + fx, r + fy),
-        [tx - fx] * rows, 1, [(tx - fx, rows - 1)],
-    )
-    return float(g[0, 0])
 
 
 def brute_force_last_passage(oracle: WeightOracle, point: Point) -> float:

@@ -166,19 +166,6 @@ class CounterStream:
         return uniform_oc(self._key, self._tag, idx, self._lane)
 
 
-def sample_exp(stream: CounterStream, mean: float) -> float:
-    """One draw, exponential with EXPECTATION `mean` (rate 1/mean)."""
-    if not mean > 0:
-        raise ParameterError(f"exponential mean must be positive, got {mean}")
-    return float(-mean * np.log(stream.uniform()))
-
-
-def sample_exp_many(stream: CounterStream, mean: float, n: int) -> np.ndarray:
-    if not mean > 0:
-        raise ParameterError(f"exponential mean must be positive, got {mean}")
-    return -mean * np.log(stream.uniforms(n))
-
-
 def sample_geom(stream: CounterStream, q: float) -> int:
     """One draw with P(X = k) = (1-q) q^k, k >= 0.  The stationary length
     of an M/M/1 queue with arrival rate rho and unit service rate is the

@@ -1,9 +1,9 @@
 """Deterministic coordinate maps between lattice/time coordinates and the
-(tau, theta, s) fluctuation frame.
+(tau, s) fluctuation frame.
 
 tau measures displacement from the critical direction on the T^(2/3) scale,
-s measures passage-time fluctuations on the T^(1/3) scale, theta moves the
-observation point off the reference line by theta*T^nu along the critical
+s measures passage-time fluctuations on the T^(1/3) scale; the frame's nu
+sets the T^nu scale of slow decorrelation's offset along the critical
 direction.  Floors are applied exactly where the lattice requires integers
 (x, y, n, q, J, H); thresholds (ell) stay real-valued.
 """
@@ -54,24 +54,15 @@ def _ell_tau_coeff(frame: ScalingFrame) -> float:
 
 def scale_dpp(frame: ScalingFrame, tau: float, s: float):
     """(x, y, ell): lattice point at displacement tau and threshold ell(tau,s)."""
-    return scale_dpp_ext(frame, tau, 0.0, s)
-
-
-def scale_dpp_ext(frame: ScalingFrame, tau: float, theta: float, s: float):
-    """Generalized frame: leading terms use T + theta*T^nu; theta=0 reduces
-    exactly to scale_dpp."""
     T = frame.T
     rho = frame.rho
     chi = frame.chi
     t23 = T ** (2.0 / 3.0)
-    base = T + theta * T**frame.nu
-    x = math.floor((1.0 - rho) ** 2 * base + tau * _tau_coeff(frame) * t23)
-    y = math.floor(rho**2 * base - tau * _tau_coeff(frame) * t23)
-    ell = base - tau * _ell_tau_coeff(frame) * t23 + s * T ** (1.0 / 3.0) / chi ** (1.0 / 3.0)
+    x = math.floor((1.0 - rho) ** 2 * T + tau * _tau_coeff(frame) * t23)
+    y = math.floor(rho**2 * T - tau * _tau_coeff(frame) * t23)
+    ell = T - tau * _ell_tau_coeff(frame) * t23 + s * T ** (1.0 / 3.0) / chi ** (1.0 / 3.0)
     if x < 0 or y < 0:
-        raise FrameError(
-            f"frame T={T} too small: (tau={tau}, theta={theta}) maps to ({x}, {y})"
-        )
+        raise FrameError(f"frame T={T} too small: tau={tau} maps to ({x}, {y})")
     return x, y, ell
 
 

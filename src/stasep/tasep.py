@@ -77,9 +77,6 @@ class TasepState:
     def labels(self) -> np.ndarray:
         return self.label_min + np.arange(len(self.positions))
 
-    def position_of(self, label: int) -> int:
-        return int(self.positions[label - self.label_min])
-
     def occupation(self, lo: int, hi: int) -> np.ndarray:
         occ = np.zeros(hi - lo + 1, dtype=np.int8)
         pos = self.positions

@@ -1,6 +1,6 @@
 """Weight fields for the bordered last-passage models.
 
-Five variants share one bulk field of unit-mean exponentials; they differ
+Four variants share one bulk field of unit-mean exponentials; they differ
 only in the law of the first row, first column, and origin:
 
   TwoSidedStationary  w00 = 0, bottom mean 1/(1-rho), left mean 1/rho
@@ -8,7 +8,6 @@ only in the law of the first row, first column, and origin:
   ShiftedZero         as ShiftedPlus but w00 = 0
   BernoulliDomain     TwoSidedStationary with the first zeta_plus bottom and
                       zeta_minus left weights forced to zero
-  NoSource            all border weights zero
 
 The stationary model is the a = rho-1/2, b = 1/2-rho member of the shifted
 family, so border means are computed uniformly from (a, b).  All variants
@@ -38,7 +37,6 @@ class ModelKind(Enum):
     ShiftedPlus = "shifted-plus"
     ShiftedZero = "shifted-zero"
     BernoulliDomain = "bernoulli-domain"
-    NoSource = "no-source"
 
 
 _STATIONARY_KINDS = (ModelKind.TwoSidedStationary, ModelKind.BernoulliDomain)
@@ -53,16 +51,12 @@ class ModelParams:
 
     def __post_init__(self):
         k = self.kind
-        if k in _STATIONARY_KINDS or k is ModelKind.NoSource:
+        if k in _STATIONARY_KINDS:
             if not 0.0 < self.rho < 1.0:
                 raise ParameterError(f"rho must be in (0,1), got {self.rho}")
-        if k in _STATIONARY_KINDS:
             # a+b = 0 boundary of the shifted family
             object.__setattr__(self, "a", self.rho - 0.5)
             object.__setattr__(self, "b", 0.5 - self.rho)
-        elif k is ModelKind.NoSource:
-            object.__setattr__(self, "a", 0.0)
-            object.__setattr__(self, "b", 0.0)
         else:
             if not (-0.5 < self.a < 0.5 and -0.5 < self.b < 0.5):
                 raise ParameterError("a, b must lie in (-1/2, 1/2)")
@@ -85,20 +79,12 @@ class ModelParams:
     def shifted_zero(cls, a, b):
         return cls(ModelKind.ShiftedZero, a=a, b=b)
 
-    @classmethod
-    def no_source(cls, rho=0.5):
-        return cls(ModelKind.NoSource, rho=rho)
-
     @property
     def bottom_mean(self) -> float:
-        if self.kind is ModelKind.NoSource:
-            return 0.0
         return 1.0 / (0.5 + self.b)
 
     @property
     def left_mean(self) -> float:
-        if self.kind is ModelKind.NoSource:
-            return 0.0
         return 1.0 / (0.5 + self.a)
 
     @property
@@ -179,9 +165,9 @@ class BatchWeights:
     def row(self, j: int, imax: int) -> np.ndarray:
         return self.row_t(j, imax).T
 
-    def row_t(self, j: int, imax: int, i_lo: int = 0) -> np.ndarray:
-        """Cells i_lo..imax of row j, shape (imax+1-i_lo, n_samples)."""
-        i = np.arange(i_lo, imax + 1)
+    def row_t(self, j: int, imax: int) -> np.ndarray:
+        """Cells 0..imax of row j, shape (imax+1, n_samples)."""
+        i = np.arange(imax + 1)
         return self.cells(i, np.full_like(i, j))
 
     def cells(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -28,10 +28,10 @@ from stasep.experiments import (
 )
 from stasep.limitlaw import (
     MultiPointSpec,
+    NystromSystem,
     QuadratureConfig,
     _tail_integrals,
     convergence_gap,
-    fredholm_det,
     limit_cdf,
 )
 from stasep.lpp import brute_force_last_passage, last_passage
@@ -141,8 +141,8 @@ def test_c05_limit_law_structure():
     # det shift covariance
     cov = max(
         abs(
-            fredholm_det(MultiPointSpec((tau,), (s,)), Q)
-            - fredholm_det(MultiPointSpec((0.0,), (s + tau**2,)), Q)
+            NystromSystem(MultiPointSpec((tau,), (s,)), Q).det
+            - NystromSystem(MultiPointSpec((0.0,), (s + tau**2,)), Q).det
         )
         for tau in (0.7, 1.5)
         for s in (-1.0, 0.5)

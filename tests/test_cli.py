@@ -99,6 +99,21 @@ def test_bad_type_rejected(tmp_path):
         ("simulate-lpp", {"taus": [1e6]}),
         # DomainError: the Airy tables for tau = 8 pass Ai's supported range
         ("limit-cdf", {"taus": [0, 8], "s_min": 0, "s_max": 0}),
+        # json reads NaN and Infinity; no setting may be non-finite
+        ("simulate-lpp", {"T": float("inf")}),
+        ("simulate-lpp", {"taus": [float("nan")]}),
+        ("limit-cdf", {"s_step": float("inf")}),
+        ("limit-cdf", {"s_max": float("inf")}),
+        ("limit-cdf", {"s_min": float("-inf")}),
+        ("simulate-tasep", {"t_end": float("nan")}),
+        ("simulate-tasep", {"t_end": float("inf")}),
+        ("compare", {"threshold": float("nan")}),
+        # seeds are 64-bit unsigned for every subcommand
+        ("simulate-lpp", {"master_seed": -1}),
+        ("simulate-lpp", {"master_seed": 2**64}),
+        ("simulate-tasep", {"master_seed": -1}),
+        ("compare", {"master_seed": 2**64}),
+        ("validate", {"master_seed": -1}),
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, subcommand, user):
@@ -114,6 +129,12 @@ def test_malformed_json_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert run_cli(["limit-cdf", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # numbers past the float range, which json reads as inf or as an int
+    # that no float holds
+    for text in ('{"s_max": 1e400}', '{"s_max": 1%s}' % ("0" * 400)):
+        cfg.write_text(text)
+        assert run_cli(["limit-cdf", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cdf.csv").exists()
 
 
 def test_compare_subcommand(tmp_path):

@@ -15,8 +15,6 @@ from stasep.limitlaw import (
     QuadratureConfig,
     convergence_gap,
     def11_terms,
-    fredholm_det,
-    g_m,
     invertibility_guard,
     limit_cdf,
 )
@@ -38,46 +36,47 @@ PINNED_F = {
 }
 
 
+def _det(taus, esses):
+    return NystromSystem(MultiPointSpec(taus, esses), Q).det
+
+
 def test_det_empty_projection():
-    assert fredholm_det(MultiPointSpec((0.0,), (10.0,)), Q) == pytest.approx(1.0, abs=1e-6)
-    s2 = MultiPointSpec((-0.5, 0.5), (10.0, 10.0))
-    assert fredholm_det(s2, Q) == pytest.approx(1.0, abs=1e-6)
+    assert _det((0.0,), (10.0,)) == pytest.approx(1.0, abs=1e-6)
+    assert _det((-0.5, 0.5), (10.0, 10.0)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_det_stationary_value():
-    assert fredholm_det(MultiPointSpec((0.0,), (0.0,)), Q) == pytest.approx(DET_GUE_0, abs=1e-8)
+    assert _det((0.0,), (0.0,)) == pytest.approx(DET_GUE_0, abs=1e-8)
 
 
 def test_det_shift_covariance():
     for tau in (0.7, 1.0, 2.0):
         for s in (-1.0, 0.5):
-            d1 = fredholm_det(MultiPointSpec((tau,), (s,)), Q)
-            d2 = fredholm_det(MultiPointSpec((0.0,), (s + tau**2,)), Q)
-            assert abs(d1 - d2) <= 1e-8
+            assert abs(_det((tau,), (s,)) - _det((0.0,), (s + tau**2,))) <= 1e-8
 
 
 def test_det_m2_value_and_goe_bound():
-    det = fredholm_det(MultiPointSpec((-1.0, 1.0), (0.0, 0.0)), Q)
+    det = _det((-1.0, 1.0), (0.0, 0.0))
     assert det == pytest.approx(DET_M2, abs=1e-8)
     # bounded below by the GOE Tracy-Widom CDF at min(s) = 0 (~0.8319)
     assert 0.83 < det < 1.0
-    det_low = fredholm_det(MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)), Q)
+    det_low = _det((-1.0, 1.0), (-3.0, -3.0))
     assert 0.0 < det_low < det
 
 
 def test_g_large_s_limit():
     # m=1: the pairing vanishes and g -> s1
-    g1 = g_m(MultiPointSpec((0.3,), (10.0,)), Q)
+    g1 = limit_cdf(MultiPointSpec((0.3,), (10.0,)), Q).g_value
     assert g1 == pytest.approx(10.0, abs=1e-3)
     # m>=2: the Gaussian-tail part of Phi keeps an O(1) mass under the
     # moving projection; on the diagonal s1 = s2 = s the limit is
     # s - sqrt(delta_tau / pi) (the Airy parts still vanish)
-    g2 = g_m(MultiPointSpec((-0.5, 0.5), (10.0, 10.0)), Q)
+    g2 = limit_cdf(MultiPointSpec((-0.5, 0.5), (10.0, 10.0)), Q).g_value
     assert g2 == pytest.approx(10.0 - np.sqrt(1.0 / np.pi), abs=1e-3)
 
 
 def test_g_stationary_value():
-    assert g_m(MultiPointSpec((0.0,), (0.0,)), Q) == pytest.approx(G_STAT_0, abs=1e-7)
+    assert limit_cdf(MultiPointSpec((0.0,), (0.0,)), Q).g_value == pytest.approx(G_STAT_0, abs=1e-7)
 
 
 def test_g_neumann_consistency():
@@ -169,9 +168,10 @@ def test_invertibility_guard_and_fault_injection():
         _ = sysm.det
 
 
-def test_alarm_band():
+def test_alarm_band(monkeypatch):
+    monkeypatch.setattr(limitlaw, "ALARM_BAND", -0.9)
     with pytest.raises(AccuracyError):
-        limit_cdf(MultiPointSpec((0.0,), (0.0,)), Q, alarm_band=-0.9)
+        limit_cdf(MultiPointSpec((0.0,), (0.0,)), Q)
 
 
 def test_convergence_under_refinement():
@@ -286,9 +286,8 @@ def _richardson_cdf(spec, h=2e-3):
     (1, ..., 1), from systems rebuilt at s +- h and s +- h/2."""
     products = []
     for shift in (h, -h, 0.5 * h, -0.5 * h):
-        shifted = spec.with_esses(np.array(spec.esses) + shift)
-        sysm = NystromSystem(shifted, Q)
-        products.append(g_m(shifted, Q, sysm) * sysm.det)
+        res = limit_cdf(MultiPointSpec(spec.taus, tuple(np.array(spec.esses) + shift)), Q)
+        products.append(res.g_value * res.det_value)
     d_h = (products[0] - products[1]) / (2 * h)
     d_h2 = (products[2] - products[3]) / h
     return (4.0 * d_h2 - d_h) / 3.0

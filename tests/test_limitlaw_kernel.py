@@ -197,7 +197,7 @@ def _shift_derivative(fn, h=2e-3):
 
 
 def _shifted(delta):
-    return SHIFT_SPEC.with_esses(np.array(SHIFT_SPEC.esses) + delta)
+    return MultiPointSpec(SHIFT_SPEC.taus, tuple(np.array(SHIFT_SPEC.esses) + delta))
 
 
 def test_kernel_shift_identity():

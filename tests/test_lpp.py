@@ -11,7 +11,6 @@ from stasep.lpp import (
     brute_force_last_passage,
     last_passage,
     last_passage_batch,
-    last_passage_point_to_point,
 )
 from stasep.rng import SeedSpec
 from stasep.weights import ModelKind, ModelParams, WeightOracle
@@ -20,11 +19,24 @@ from stasep.weights import ModelKind, ModelParams, WeightOracle
 class ConstantField:
     """All weights 1; stands in for an oracle in deterministic checks."""
 
-    class seed:
-        sample_index = 0
-
     def cell_weights(self, i, j):
         return np.ones((len(i), 1))
+
+
+class ShiftedField:
+    """The field of `oracle` seen from (fx, fy): last_passage on it to (x, y)
+    is the point-to-point passage time (fx, fy) -> (fx + x, fy + y)."""
+
+    def __init__(self, oracle, fx, fy):
+        self.oracle, self.fx, self.fy = oracle, fx, fy
+
+    def cell_weights(self, i, j):
+        return self.oracle.cell_weights(i + self.fx, j + self.fy)
+
+
+def _point_to_point(oracle, frm, to):
+    x, y = to[0] - frm[0], to[1] - frm[1]
+    return last_passage(ShiftedField(oracle, *frm), [(x, y)]).values[(x, y)]
 
 
 def test_constant_field():
@@ -70,12 +82,11 @@ def test_monotonicity_in_endpoints():
 def test_point_to_point_cases():
     orc = WeightOracle(ModelParams.two_sided(0.5), SeedSpec(9, 0))
     w = orc.weight_at(2, 3)
-    assert last_passage_point_to_point(orc, (2, 3), (2, 3)) == w
+    assert _point_to_point(orc, (2, 3), (2, 3)) == w
     # 2x2 hand case: (1,0) -> (1,1) forced path
-    expect = orc.weight_at(1, 0) + orc.weight_at(1, 1)
-    assert last_passage_point_to_point(orc, (1, 0), (1, 1)) == pytest.approx(expect, rel=1e-15)
+    assert _point_to_point(orc, (1, 0), (1, 1)) == orc.weight_at(1, 0) + orc.weight_at(1, 1)
     with pytest.raises(DomainError):
-        last_passage_point_to_point(orc, (3, 0), (2, 5))
+        _point_to_point(orc, (3, 0), (2, 5))
 
 
 def test_origin_decomposition_exact():
@@ -83,8 +94,8 @@ def test_origin_decomposition_exact():
     for trial in range(300):
         orc = WeightOracle(ModelParams.two_sided(0.3), SeedSpec(77, trial))
         g = last_passage(orc, [(5, 4)]).values[(5, 4)]
-        q10 = last_passage_point_to_point(orc, (1, 0), (5, 4))
-        q01 = last_passage_point_to_point(orc, (0, 1), (5, 4))
+        q10 = _point_to_point(orc, (1, 0), (5, 4))
+        q01 = _point_to_point(orc, (0, 1), (5, 4))
         assert g == max(q10, q01)
 
 
@@ -100,7 +111,6 @@ def test_batch_equals_single_on_large_grids():
         ModelParams.bernoulli_domain(0.6),
         ModelParams.shifted_plus(0.2, 0.1),
         ModelParams.shifted_zero(0.2, 0.1),
-        ModelParams.no_source(0.6),
     ):
         batch = last_passage_batch(p, 13, range(n), pts)
         for k in list(range(60)) + [n - 1]:
@@ -124,7 +134,6 @@ MODELS = (
     ModelParams.bernoulli_domain(0.6),
     ModelParams.shifted_plus(0.2, 0.1),
     ModelParams.shifted_zero(0.2, 0.1),
-    ModelParams.no_source(0.6),
 )
 
 

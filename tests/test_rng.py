@@ -5,8 +5,7 @@ from stasep.errors import ParameterError
 from stasep.rng import (
     CounterStream,
     SeedSpec,
-    sample_exp,
-    sample_exp_many,
+    exp_from_uniform,
     sample_geom,
     stream_key,
     uniform_oc,
@@ -42,24 +41,10 @@ def test_reproducible_and_order_independent():
     assert not np.array_equal(a, c)
 
 
-def test_sample_exp_convention():
-    # expectation = mean parameter (rate 1/mean)
-    s = CounterStream(SeedSpec(7, 0))
-    vals = sample_exp_many(s, 1.0, 10**6)
-    assert abs(vals.mean() - 1.0) < 0.01
-    s2 = CounterStream(SeedSpec(7, 1))
-    vals2 = sample_exp_many(s2, 2.0, 10**6)
-    assert abs(vals2.mean() - 2.0) < 0.02
-    with pytest.raises(ParameterError):
-        sample_exp(CounterStream(SeedSpec(1, 0)), 0.0)
-
-
 def test_exp_u_equals_one_maps_to_zero():
     # largest hash value gives U = 1 exactly and -mean*log(1) = 0
-    assert -2.0 * np.log(1.0) == 0.0
-    s = CounterStream(SeedSpec(3, 0))
-    v = sample_exp(s, 5.0)
-    assert v >= 0.0
+    assert exp_from_uniform(1.0, 2.0) == 0.0
+    assert np.all(exp_from_uniform(CounterStream(SeedSpec(3, 0)).uniforms(1000), 5.0) >= 0.0)
 
 
 def test_sample_geom_pmf():
@@ -80,10 +65,11 @@ def test_sample_geom_pmf():
 
 
 def test_statistical_calibration_exponential():
-    # mean and variance within 4 standard errors, 1e6 draws
+    # expectation = mean parameter (rate 1/mean): mean and variance within 4
+    # standard errors, 1e6 draws by the path WaitingTimes takes
     n = 10**6
     for mean in (1.0, 2.0):
-        vals = sample_exp_many(CounterStream(SeedSpec(11, int(mean))), mean, n)
+        vals = exp_from_uniform(CounterStream(SeedSpec(11, int(mean))).uniforms(n), mean)
         se_mean = mean / np.sqrt(n)
         assert abs(vals.mean() - mean) < 4 * se_mean
         se_var = mean**2 * np.sqrt(8.0 / n)  # Var of sample variance ~ 8 mean^4 / n

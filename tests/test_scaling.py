@@ -11,7 +11,6 @@ from stasep.scaling import (
     rescale_at_point,
     rescale_sample,
     scale_dpp,
-    scale_dpp_ext,
     scale_height,
     scale_particle,
 )
@@ -98,36 +97,17 @@ def test_rescale_at_point_removes_floor_loss():
             )
 
 
-def test_ext_reduces_at_theta_zero():
-    frame = ScalingFrame(T=500.0, rho=0.37, nu=0.6)
-    for tau in (-1.0, 0.8):
-        for s in (-2.0, 1.0):
-            assert scale_dpp_ext(frame, tau, 0.0, s) == scale_dpp(frame, tau, s)
-
-
-def test_ext_projection_slope():
-    # (x, y)(tau, theta) - (x, y)(tau, 0) = theta T^nu ((1-rho)^2, rho^2) up to floors
-    frame = ScalingFrame(T=2000.0, rho=0.4, nu=0.5)
-    r = 3.0 * 2000.0**0.5
-    x1, y1, _ = scale_dpp_ext(frame, 0.7, 3.0, 0.0)
-    x0, y0, _ = scale_dpp_ext(frame, 0.7, 0.0, 0.0)
-    assert abs((x1 - x0) - r * 0.36) <= 1.0
-    assert abs((y1 - y0) - r * 0.16) <= 1.0
-
-
-def test_ext_generic_value_against_high_precision():
-    rho, T, tau, theta, nu, s = 0.4, 1000.0, -1.0, 2.0, 0.5, 1.0
-    frame = ScalingFrame(T=T, rho=rho, nu=nu)
-    x, y, ell = scale_dpp_ext(frame, tau, theta, s)
+def test_scale_dpp_generic_value_against_high_precision():
+    rho, T, tau, s = 0.4, 1000.0, -1.0, 1.0
+    x, y, ell = scale_dpp(ScalingFrame(T=T, rho=rho), tau, s)
     mr = mp.mpf(rho)
     mT = mp.mpf(T)
     chi = mr * (1 - mr)
-    base = mT + mp.mpf(theta) * mT ** mp.mpf(nu)
     coeff = 2 * chi ** (mp.mpf(4) / 3) / (1 - 2 * chi)
-    x_ref = mp.floor((1 - mr) ** 2 * base + mp.mpf(tau) * coeff * mT ** (mp.mpf(2) / 3))
-    y_ref = mp.floor(mr**2 * base - mp.mpf(tau) * coeff * mT ** (mp.mpf(2) / 3))
+    x_ref = mp.floor((1 - mr) ** 2 * mT + mp.mpf(tau) * coeff * mT ** (mp.mpf(2) / 3))
+    y_ref = mp.floor(mr**2 * mT - mp.mpf(tau) * coeff * mT ** (mp.mpf(2) / 3))
     ell_ref = (
-        base
+        mT
         - mp.mpf(tau) * 2 * (1 - 2 * mr) * chi ** (mp.mpf(1) / 3) / (1 - 2 * chi) * mT ** (mp.mpf(2) / 3)
         + mp.mpf(s) * mT ** (mp.mpf(1) / 3) / chi ** (mp.mpf(1) / 3)
     )

@@ -30,7 +30,7 @@ def test_init_labels_convention():
     st = init_stationary(0.5, (-50, 50), SeedSpec(5, 3))
     occ_sites = np.sort(st.positions)
     nonneg = occ_sites[occ_sites >= 0]
-    assert st.position_of(0) == nonneg[0]
+    assert st.positions[-st.label_min] == nonneg[0]
     # ordering is strict
     assert np.all(np.diff(st.positions) < 0)
 

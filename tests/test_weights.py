@@ -26,19 +26,11 @@ def test_origin_rules():
     for kind, expect_zero in (
         (ModelParams.two_sided(0.4), True),
         (ModelParams.shifted_zero(0.25, 0.25), True),
-        (ModelParams.no_source(), True),
         (ModelParams.shifted_plus(0.25, 0.25), False),
     ):
         orc = WeightOracle(kind, seed)
         w00 = orc.weight_at(0, 0)
         assert (w00 == 0.0) == expect_zero
-
-
-def test_no_source_borders_zero():
-    orc = WeightOracle(ModelParams.no_source(), SeedSpec(1, 2))
-    assert orc.weight_at(0, 5) == 0.0
-    assert orc.weight_at(7, 0) == 0.0
-    assert orc.weight_at(3, 4) > 0.0
 
 
 def test_negative_index_rejected():
@@ -133,7 +125,7 @@ def test_all_weights_nonnegative():
     for p in (
         ModelParams.two_sided(0.2),
         ModelParams.shifted_plus(0.4, -0.1),
-        ModelParams.no_source(),
+        ModelParams.bernoulli_domain(0.3),
     ):
         orc = WeightOracle(p, SeedSpec(2, 2))
         for j in range(4):
@@ -141,15 +133,17 @@ def test_all_weights_nonnegative():
 
 
 def test_transposed_rows_match_rows():
-    # row_t(j, imax, i_lo) is row(j, imax)[:, i_lo:].T bit for bit, so the
-    # border and origin means land on the right cells of every block
+    # cells on any block of row j is row(j, imax)[:, i_lo:].T bit for bit, so
+    # the border and origin means land on the right cells of every block
     for p in (
         ModelParams.bernoulli_domain(0.3),
         ModelParams.shifted_plus(0.2, 0.1),
-        ModelParams.no_source(),
+        ModelParams.shifted_zero(0.2, 0.1),
     ):
         bw = BatchWeights(p, 55, range(40, 47))
         for j in (0, 1, 4):
             full = bw.row(j, 20)
+            assert np.array_equal(bw.row_t(j, 20), full.T)
             for i_lo in (0, 1, 3, 20):
-                assert np.array_equal(bw.row_t(j, 20, i_lo), full[:, i_lo:].T)
+                i = np.arange(i_lo, 21)
+                assert np.array_equal(bw.cells(i, np.full_like(i, j)), full[:, i_lo:].T)
