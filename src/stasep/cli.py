@@ -76,6 +76,11 @@ _DEFAULTS = {
 }
 
 
+# the most points an s-grid may have (limit-cdf and compare evaluate one
+# limit-law point, a few ms, at each)
+S_GRID_MAX = 10_000
+
+
 class ConfigError(ValueError):
     pass
 
@@ -118,6 +123,11 @@ def load_config(subcommand: str, path):
             raise ConfigError("config key 's_step' must be > 0")
         if "s_min" in cfg and not cfg["s_max"] >= cfg["s_min"]:
             raise ConfigError("config key 's_max' must be >= s_min")
+        if "s_step" in cfg:
+            # _s_grid's np.arange makes the ceiling of this many points
+            points = (cfg["s_max"] + 0.5 * cfg["s_step"] - cfg["s_min"]) / cfg["s_step"]
+            if points > S_GRID_MAX:
+                raise ConfigError(f"the s-grid must have at most {S_GRID_MAX} points")
         if "obs_lo" in cfg and cfg["obs_lo"] > cfg["obs_hi"]:
             raise ConfigError("config key 'obs_lo' must be <= obs_hi")
         if "n_samples" in cfg and cfg["n_samples"] < 1:

@@ -25,9 +25,10 @@ The lambda integrals of the kernel use one Airy table per distinct block
 term of Phi reuses.  B(lambda), B(0), Psi_j and the third term of Phi
 are one-dimensional tail integrals T(v) = int_v^inf e^{-a u} Ai(u + b) du,
 each tabulated over a whole point set on one set of Airy arguments
-(_tail_plan).  Those sets, R's rule and the column Ai(x + tau_i^2) go through
-one airy_ai call per system (def11_terms); airy_ai is elementwise, so the
-values are those of separate calls bit for bit.
+(_tail_plan).  def11_terms evaluates Ai at those sets, R's rule and the
+column Ai(x + tau_i^2) in one airy_ai call per system and computes R, B,
+Psi_j and Phi_i from its slices; airy_ai is elementwise, so the values are
+those of separate calls bit for bit.
 
 sum_k d/ds_k is the derivative along (1, ..., 1), taken in closed form from
 the one system at s.  Under a uniform shift of the thresholds the nodes move
@@ -193,31 +194,12 @@ def _tail_plan(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT)
     return u + b, finish
 
 
-def _airy_split(*args: np.ndarray):
-    """Ai at each argument array, from one airy_ai call on their concatenation
-    (airy_ai is elementwise bit for bit).  Arrays come back flat."""
-    ai = airy_ai(np.concatenate([x.ravel() for x in args]))
-    return np.split(ai, np.cumsum([x.size for x in args[:-1]]))
-
-
-def _run(plan):
-    """Evaluate one (args, finish) plan with its own airy_ai call."""
-    args, finish = plan
-    return finish(airy_ai(args))
-
-
-def _tail_integrals(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT) -> np.ndarray:
-    """T(v) of _tail_plan, evaluated on its own."""
-    return _run(_tail_plan(a, b, v, target))
-
-
 class NystromSystem:
     """Quadrature grids, the balanced block kernel matrix, and Definition-1.1
     ingredient tables for one (spec, config) pair."""
 
     def __init__(self, spec: MultiPointSpec, quad: QuadratureConfig):
         self.spec = spec
-        self.quad = quad
         m = spec.m
         taus = np.array(spec.taus)
         esses = np.array(spec.esses)
@@ -424,23 +406,6 @@ def khat_dual_check(
     return lhs, rhs, abs(lhs - rhs)
 
 
-def airy_convolution_identity(
-    b1: float, b2: float, c1: float, c2: float
-) -> Tuple[float, float, float]:
-    """Bilinear Airy convolution over the whole line (requires b2 < b1):
-
-        int_R e^{-l(b2-b1)} Ai(b1^2+c1+l) Ai(b2^2+c2+l) dl
-          = exp(-(c2-c1)^2/(4(b1-b2)) + 2/3 (b2^3-b1^3) + b2 c2 - b1 c1)
-            / sqrt(4 pi (b1-b2))
-
-    Returns (quadrature lhs, closed-form rhs, gap)."""
-    if not b2 < b1:
-        raise ParameterError("identity requires b2 < b1 (divergent otherwise)")
-    lhs = _khat_nonneg_branch(b1, b2, c1, c2) + _khat_neg_branch(b1, b2, c1, c2)
-    rhs = float(_gauss_term(b1, b2, c1, c2))
-    return lhs, rhs, abs(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # Definition 1.1 ingredients
 
@@ -454,116 +419,61 @@ class Def11Terms:
     ai_shift: np.ndarray  # (m, n) table of Ai(x + tau_i^2) on the system nodes
 
 
-# Each Definition-1.1 ingredient is a plan: its Airy arguments, and a finish
-# step that turns Ai at them into the ingredient.  def11_terms evaluates every
-# plan of a system in one airy_ai call; the oracle surfaces run one plan each.
-
-
-def _r_plan(spec: MultiPointSpec):
-    """R = s1 + e^{-2/3 tau1^3} int_{s1}^inf du (u - s1) Ai(u + tau1^2) e^{-tau1 u}
-    (the double integral collapsed along u = x + y)."""
-    t1 = spec.taus[0]
-    s1 = spec.esses[0]
-    rule = _airy_rule(s1, s1 + t1**2, max(-t1, 0.0), 1, TAIL_EXPONENT + max(-t1 * s1, 0.0))
-    u = rule.nodes
-
-    def finish(ai: np.ndarray) -> float:
-        integrand = (u - s1) * ai * np.exp(-t1 * u)
-        return s1 + math.exp(-(2.0 / 3.0) * t1**3) * float(np.dot(rule.weights, integrand))
-
-    return u + t1**2, finish
-
-
-def _r_value(spec: MultiPointSpec) -> float:
-    return _run(_r_plan(spec))
-
-
-def _psi_plan(tau_j: float, y: np.ndarray):
-    """Psi_j(y) = e^{2/3 tau_j^3 + tau_j y} - int_0^inf Ai(x+y+tau_j^2) e^{-tau_j x} dx;
-    the integral is e^{tau_j y} T(y) with a = tau_j, b = tau_j^2."""
-    args, tail = _tail_plan(tau_j, tau_j**2, y)
-
-    def finish(ai: np.ndarray) -> np.ndarray:
-        integral = np.exp(tau_j * y) * tail(ai)
-        return np.exp((2.0 / 3.0) * tau_j**3 + tau_j * y) - integral
-
-    return args, finish
-
-
-def _b_plan(spec: MultiPointSpec, lam: np.ndarray):
-    """B(l) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2 + l) dy = e^{tau1 l} T(s1 + l)
-    at the points lam (a = tau1, b = tau1^2)."""
-    t1 = spec.taus[0]
-    s1 = spec.esses[0]
-    target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
-    args, tail = _tail_plan(t1, t1**2, s1 + lam, target)
-    return args, lambda ai: np.exp(t1 * lam) * tail(ai)
-
-
-def _b_table(spec: MultiPointSpec, lam: np.ndarray) -> np.ndarray:
-    return _run(_b_plan(spec, lam))
-
-
-def _phi_plan(spec: MultiPointSpec, i: int, x: np.ndarray, lam: np.ndarray, lam_w: np.ndarray):
-    """Phi_i(x) on the points x, i 0-based.  Its finish also takes ai_x, which
-    holds Ai(x + tau_i^2 + l) on the lambda grid, and b_table, B(l) there."""
-    taus = spec.taus
-    t1 = taus[0]
-    ti = taus[i]
-    # int_0^inf Ai(x + tau_i^2 + y) e^{tau_i y} dy = e^{-tau_i x} T(x), a = -tau_i
-    args, tail = _tail_plan(-ti, ti**2, x)
-
-    def finish(ai: np.ndarray, ai_x: np.ndarray, b_table: np.ndarray) -> np.ndarray:
-        term1 = math.exp(-(2.0 / 3.0) * t1**3) * (ai_x @ (lam_w * np.exp(-lam * (t1 - ti)) * b_table))
-        term2 = 0.0
-        if i >= 1:
-            delta = ti - t1
-            gauss = gaussian_tail_integral(spec.esses[0] - x, delta)
-            term2 = np.exp(-(2.0 / 3.0) * ti**3 - ti * x) / math.sqrt(4.0 * math.pi * delta) * gauss
-        term3 = np.exp(-ti * x) * tail(ai)
-        return term1 + term2 - term3
-
-    return args, finish
-
-
 def def11_terms(sysm: NystromSystem) -> Def11Terms:
     """R, Psi_j, Phi_i and Ai(x + tau_i^2) tabulated at the nodes of sysm, and
-    B(0), from one airy_ai call over all their arguments."""
+    B(0), from one airy_ai call over all their arguments.  With
+    c = e^{-2/3 tau_1^3} and T the tail integral of _tail_plan:
+
+        B(l) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2 + l) dy = e^{tau1 l} T(s1 + l),
+            a = tau1, b = tau1^2, on the lambda grid and at l = 0;
+        R = s1 + c int_{s1}^inf (u - s1) Ai(u + tau1^2) e^{-tau1 u} du
+            (the double integral collapsed along u = x + y);
+        Psi_j(y) = e^{2/3 tau_j^3 + tau_j y} - int_0^inf Ai(x + y + tau_j^2) e^{-tau_j x} dx,
+            the integral being e^{tau_j y} T(y), a = tau_j, b = tau_j^2;
+        Phi_i(x) = c int_0^inf Ai(x + tau_i^2 + l) e^{-l(tau1 - tau_i)} B(l) dl
+            + 1[i > 1] e^{-2/3 tau_i^3 - tau_i x} G(s1 - x) / sqrt(4 pi (tau_i - tau1))
+            - int_0^inf Ai(x + tau_i^2 + y) e^{tau_i y} dy,
+            G = gaussian_tail_integral, the last integral being e^{-tau_i x} T(x),
+            a = -tau_i, b = tau_i^2.
+
+    Phi's first term reuses the system's Airy tables on the lambda grid."""
     spec = sysm.spec
     m = spec.m
-    b_args, b_finish = _b_plan(spec, sysm.lam)
-    b0_args, b0_finish = _b_plan(spec, np.zeros(1))
-    r_args, r_finish = _r_plan(spec)
-    psi_plans = [_psi_plan(spec.taus[j], sysm.nodes[j]) for j in range(m)]
-    phi_plans = [_phi_plan(spec, i, sysm.nodes[i], sysm.lam, sysm.lam_w) for i in range(m)]
-    shift_args = [x + t**2 for x, t in zip(sysm.nodes, spec.taus)]
-    ai_b, ai_b0, ai_r, *ai = _airy_split(
-        b_args, b0_args, r_args, *(p[0] for p in psi_plans), *(p[0] for p in phi_plans), *shift_args
-    )
-    b_table = b_finish(ai_b)
-    psi = [finish(v) for (_, finish), v in zip(psi_plans, ai[:m])]
-    phi = [finish(v, table, b_table) for (_, finish), v, table in zip(phi_plans, ai[m : 2 * m], sysm.ai_tables)]
+    taus = spec.taus
+    t1, s1 = taus[0], spec.esses[0]
+    c = math.exp(-(2.0 / 3.0) * t1**3)
+    target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
+    b_args, b_tail = _tail_plan(t1, t1**2, s1 + sysm.lam, target)
+    b0_args, b0_tail = _tail_plan(t1, t1**2, s1 + np.zeros(1), target)
+    r_rule = _airy_rule(s1, s1 + t1**2, max(-t1, 0.0), 1, target)
+    u = r_rule.nodes
+    psi_plans = [_tail_plan(t, t**2, y) for t, y in zip(taus, sysm.nodes)]
+    phi_plans = [_tail_plan(-t, t**2, x) for t, x in zip(taus, sysm.nodes)]
+    shift_args = [x + t**2 for x, t in zip(sysm.nodes, taus)]
+    args = [b_args, b0_args, u + t1**2, *(p[0] for p in psi_plans + phi_plans), *shift_args]
+    # airy_ai is elementwise, so each slice holds what a call of its own gives
+    ai = np.split(airy_ai(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
+    ai_b, ai_b0, ai_r, *ai = ai
+
+    b_table = np.exp(t1 * sysm.lam) * b_tail(ai_b)
+    r_value = s1 + c * float(np.dot(r_rule.weights, (u - s1) * ai_r * np.exp(-t1 * u)))
+    psi = [
+        np.exp((2.0 / 3.0) * t**3 + t * y) - np.exp(t * y) * tail(v)
+        for t, y, (_, tail), v in zip(taus, sysm.nodes, psi_plans, ai[:m])
+    ]
+    phi = []
+    for i, (t, x, (_, tail), v) in enumerate(zip(taus, sysm.nodes, phi_plans, ai[m : 2 * m])):
+        term1 = c * (sysm.ai_tables[i] @ (sysm.lam_w * np.exp(-sysm.lam * (t1 - t)) * b_table))
+        term2 = 0.0
+        if i >= 1:
+            delta = t - t1
+            gauss = gaussian_tail_integral(s1 - x, delta)
+            term2 = np.exp(-(2.0 / 3.0) * t**3 - t * x) / math.sqrt(4.0 * math.pi * delta) * gauss
+        phi.append(term1 + term2 - np.exp(-t * x) * tail(v))
     return Def11Terms(
-        r_value=r_finish(ai_r), psi=np.stack(psi), phi=np.stack(phi),
-        b_zero=float(b0_finish(ai_b0)[0]), ai_shift=np.stack(ai[2 * m :]),
+        r_value=r_value, psi=np.stack(psi), phi=np.stack(phi),
+        b_zero=float(b0_tail(ai_b0)[0]), ai_shift=np.stack(ai[2 * m :]),
     )
-
-
-def psi_function(spec: MultiPointSpec, j: int, y) -> np.ndarray:
-    """Psi_j at arbitrary points (j 1-based); test/oracle surface."""
-    return _run(_psi_plan(spec.taus[j - 1], np.atleast_1d(np.asarray(y, dtype=float))))
-
-
-def phi_function(spec: MultiPointSpec, i: int, x) -> np.ndarray:
-    """Phi_i at arbitrary points (i 1-based); test/oracle surface."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam_rule = _lambda_rule(spec)
-    lam = lam_rule.nodes
-    table_args = x[:, None] + spec.taus[i - 1] ** 2 + lam[None, :]
-    b_args, b_finish = _b_plan(spec, lam)
-    args, finish = _phi_plan(spec, i - 1, x, lam, lam_rule.weights)
-    ai_x, ai_b, ai = _airy_split(table_args, b_args, args)
-    return finish(ai, ai_x.reshape(table_args.shape), b_finish(ai_b))
 
 
 # ---------------------------------------------------------------------------

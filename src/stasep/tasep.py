@@ -206,7 +206,8 @@ def evolve(
     jumps = [0] * nlab
     pending = [False] * nlab
     rec_t: List[float] = []
-    rec_k: List[int] = []
+    rec_l: List[int] = []
+    rec_g: List[int] = []
     heap: List[Tuple[float, int]] = []
     t0 = state.time
     for k in range(nlab):
@@ -239,7 +240,8 @@ def evolve(
             n_current += 1
         if record:
             rec_t.append(t)
-            rec_k.append(k)
+            rec_l.append(label_min + k)
+            rec_g.append(new)
         # the particle behind, if adjacent, is unblocked at time t (its jump
         # into `old` has clock index new + label_k, within i_max)
         kb = k + 1
@@ -251,17 +253,6 @@ def evolve(
             push(heap, (t + clocks[k][jumps[k]], k))
             pending[k] = True
 
-    log = JumpLog()
-    if record:
-        log.times = rec_t
-        log.labels = [label_min + k for k in rec_k]
-        starts = start_pos.tolist()
-        seen = [0] * nlab
-        tg = []
-        for k in rec_k:
-            seen[k] += 1
-            tg.append(starts[k] + seen[k])
-        log.targets = tg
     out = TasepState(
         label_min=label_min,
         positions=np.array(pos, dtype=np.int64),
@@ -269,7 +260,7 @@ def evolve(
         n_current=n_current,
         window=state.window,
     )
-    return out, log
+    return out, JumpLog(rec_t, rec_l, rec_g)
 
 
 def queue_exit_time(log: JumpLog, j: int, i: int) -> Optional[float]:

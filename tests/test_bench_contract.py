@@ -29,3 +29,24 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         t.uninstall()
     assert all(owner.__dict__[attr] is b for (owner, attr), b in zip(traced, before))
+
+
+def test_traced_limit_cdf_spans(monkeypatch):
+    # one CDF point at tau = (0,), s = 0 builds one system and runs one
+    # Definition-1.1 stage, with Ai in two calls: the block's table and
+    # def11_terms' batch
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.active = True
+        limitlaw.limit_cdf(limitlaw.MultiPointSpec((0.0,), (0.0,)))
+    finally:
+        t.active = False
+        t.uninstall()
+    calls = {name: v["calls"] for name, v in t.totals().items()}
+    assert calls["limitlaw.def11_terms"] == 1
+    assert calls["limitlaw.nystrom"] == 1
+    assert calls["specfun.airy_ai"] == 2

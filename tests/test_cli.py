@@ -114,6 +114,11 @@ def test_bad_type_rejected(tmp_path):
         ("simulate-tasep", {"master_seed": -1}),
         ("compare", {"master_seed": 2**64}),
         ("validate", {"master_seed": -1}),
+        # s-grids past S_GRID_MAX points (1e-300 overflowed np.arange)
+        ("limit-cdf", {"s_step": 1e-300}),
+        ("compare", {"s_step": 1e-300}),
+        ("limit-cdf", {"s_step": 1e-7}),
+        ("limit-cdf", {"s_step": 0.0008}),
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, subcommand, user):
@@ -123,6 +128,14 @@ def test_bad_value_rejected(tmp_path, capsys, subcommand, user):
     assert run_cli([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()  # no partial output
+
+
+def test_s_grid_cap(tmp_path):
+    # 0.0008001 on [-4, 4] gives S_GRID_MAX points and is accepted; 0.0008
+    # gives one more and is refused (test_bad_value_rejected)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_step": 0.0008001}))
+    assert cli._s_grid(load_config("limit-cdf", cfg)).size == cli.S_GRID_MAX
 
 
 def test_malformed_json_rejected(tmp_path):

@@ -1,28 +1,25 @@
 """Kernel entries, the dual representation, and Definition-1.1 ingredients.
 
-Frozen expected values were computed with independent scipy.integrate.quad /
-scipy.special.airy oracles (see the repr'd constants)."""
+Frozen expected values and the Psi/Phi oracles come from independent
+scipy.integrate.quad / scipy.special.airy computations."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import airy
 
 from stasep.errors import ParameterError
 from stasep.limitlaw import (
     MultiPointSpec,
     QuadratureConfig,
-    airy_convolution_identity,
     def11_terms,
     khat,
     khat_dual_check,
-    phi_function,
-    psi_function,
     NystromSystem,
     _airy_log_envelope,
-    _b_table,
-    _r_value,
-    _tail_integrals,
+    _tail_plan,
 )
 from stasep.specfun import airy_ai, composite_rule
 
@@ -81,7 +78,7 @@ def test_nystrom_matrix_matches_khat(taus):
     # of the balanced matrix over sqrt(w_p w_q) is khat at the two nodes
     spec = MultiPointSpec(taus, tuple(np.linspace(-2.0, 1.0, len(taus)).tolist()))
     sysm = NystromSystem(spec, QuadratureConfig())
-    n = sysm.quad.n
+    n = sysm.nodes[0].size
     for i in range(spec.m):
         for j in range(spec.m):
             for p, q in ((0, 0), (9, 47), (31, 20), (63, 63)):
@@ -105,12 +102,19 @@ def test_dual_representation_acceptance_grid():
 
 
 def test_airy_convolution_identity():
-    lhs, rhs, gap = airy_convolution_identity(1.0, 0.0, 0.0, 0.0)
-    assert gap <= 1e-8
-    lhs, rhs, gap = airy_convolution_identity(2.0, -1.0, 0.5, -0.5)
-    assert gap <= 1e-8
+    # the dual check's gap is the whole-line identity
+    #   int_R e^{-l(tau_j - tau_i)} Ai(x + l + tau_i^2) Ai(y + l + tau_j^2) dl
+    #     = the Gaussian of the tau_i > tau_j rewrite
+    for taus, x, y in (((0.0, 1.0), 0.0, 0.0), ((-1.0, 2.0), 0.5, -0.5)):
+        lhs, rhs, gap = khat_dual_check(MultiPointSpec(taus, (0.0, 0.0)), 2, 1, x, y)
+        assert gap <= 1e-8
     with pytest.raises(ParameterError):
-        airy_convolution_identity(0.0, 0.0, 1.0, 1.0)  # b1 = b2 divergent
+        # tau_i = tau_j: the integral over the whole line diverges
+        khat_dual_check(MultiPointSpec((0.0, 1.0), (0.0, 0.0)), 1, 1, 1.0, 1.0)
+
+
+def _r_value(spec):
+    return def11_terms(NystromSystem(spec, QuadratureConfig())).r_value
 
 
 def test_r_value_cases():
@@ -122,48 +126,46 @@ def test_r_value_cases():
     assert _r_value(spec) == pytest.approx(0.4289402586484563, abs=1e-9)
 
 
+def _ai(t):
+    return airy(t)[0]
+
+
+def _psi_oracle(tau, y):
+    """Psi(y) = e^{2/3 tau^3 + tau y} - int_0^inf Ai(x + y + tau^2) e^{-tau x} dx."""
+    tail = quad(lambda x: _ai(x + y + tau**2) * math.exp(-tau * x), 0.0, 40.0, epsabs=1e-14, limit=200)[0]
+    return math.exp((2.0 / 3.0) * tau**3 + tau * y) - tail
+
+
+def _phi_oracle(taus, s1, i, x):
+    """Phi_i(x), i 0-based, with B(l) a nested quad."""
+    t1, ti = taus[0], taus[i]
+
+    def b(lam):
+        return quad(lambda y: math.exp(-t1 * y) * _ai(y + t1**2 + lam), s1, 40.0, epsabs=1e-14, limit=200)[0]
+
+    pair = quad(lambda lam: _ai(x + ti**2 + lam) * math.exp(-lam * (t1 - ti)) * b(lam), 0.0, 40.0,
+                epsabs=1e-13, limit=200)[0]
+    gauss_term = 0.0
+    if i >= 1:
+        delta = ti - t1
+        gauss = quad(lambda y: math.exp(-y * y / (4.0 * delta)), -np.inf, s1 - x, epsabs=1e-14)[0]
+        gauss_term = math.exp(-(2.0 / 3.0) * ti**3 - ti * x) / math.sqrt(4.0 * math.pi * delta) * gauss
+    tail = quad(lambda y: _ai(x + ti**2 + y) * math.exp(ti * y), 0.0, 40.0, epsabs=1e-14, limit=200)[0]
+    return math.exp(-(2.0 / 3.0) * t1**3) * pair + gauss_term - tail
+
+
 def test_def11_tables_match_oracles():
-    # frozen scipy.quad oracle values at taus=(-0.5, 0.5), esses=(0, 0)
-    spec = MultiPointSpec((-0.5, 0.5), (0.0, 0.0))
-    psi_ref = {
-        (1, -1.0): 0.3509912035793332,
-        (1, 0.0): 0.5310920932901826,
-        (1, 2.0): 0.3200772177024401,
-        (2, -1.0): 0.21469760481011857,
-        (2, 0.0): 0.9038536710306545,
-        (2, 2.0): 2.943842377012519,
-    }
-    phi_ref = {
-        (1, -1.0): -0.3301555577978004,
-        (1, 0.0): -0.13132579934970273,
-        (1, 2.0): -0.007362682964277241,
-        (2, -1.0): 0.1864997008109346,
-        (2, 0.0): 0.15328543224132635,
-        (2, 2.0): 0.01301413832458288,
-    }
-    for (j, y), ref in psi_ref.items():
-        assert psi_function(spec, j, y)[0] == pytest.approx(ref, abs=1e-9)
-    for (i, x), ref in phi_ref.items():
-        assert phi_function(spec, i, x)[0] == pytest.approx(ref, abs=1e-8)
-
-
-def test_def11_node_tables_consistent_with_functions():
-    # def11_terms evaluates every ingredient in one airy_ai call; each oracle
-    # surface makes its own call, and the values agree bit for bit
-    for spec, n in (
-        (MultiPointSpec((-0.5, 0.5), (-1.0, 0.5)), 24),
-        (MultiPointSpec((0.0,), (0.0,)), 64),
-        (MultiPointSpec((-2.0,), (-3.0,)), 64),
-        (MultiPointSpec((-0.7, 0.2, 1.1), (-0.5, 0.3, 1.0)), 64),
-    ):
-        sysm = NystromSystem(spec, QuadratureConfig(n=n))
-        terms = def11_terms(sysm)
-        for k in range(spec.m):
-            assert np.array_equal(terms.psi[k], psi_function(spec, k + 1, sysm.nodes[k]))
-            assert np.array_equal(terms.phi[k], phi_function(spec, k + 1, sysm.nodes[k]))
-            assert np.array_equal(terms.ai_shift[k], airy_ai(sysm.nodes[k] + spec.taus[k] ** 2))
-        assert terms.b_zero == _b_table(spec, np.zeros(1))[0]
-        assert terms.r_value == _r_value(spec)
+    # the Psi and Phi node tables against quad at nodes on either side of 0,
+    # Phi_2 with its Gaussian term; the shift column is Ai(x + tau^2) itself
+    spec = MultiPointSpec((-0.5, 0.5), (-1.0, 0.5))
+    sysm = NystromSystem(spec, QuadratureConfig())
+    terms = def11_terms(sysm)
+    for k, tau in enumerate(spec.taus):
+        for p in (0, 7, 15):
+            x = float(sysm.nodes[k][p])
+            assert terms.psi[k][p] == pytest.approx(_psi_oracle(tau, x), abs=1e-9), (k, p)
+            assert terms.phi[k][p] == pytest.approx(_phi_oracle(spec.taus, -1.0, k, x), abs=1e-8), (k, p)
+        assert np.array_equal(terms.ai_shift[k], airy_ai(sysm.nodes[k] + tau**2))
 
 
 def test_tail_integrals_match_2d_quadrature():
@@ -176,7 +178,8 @@ def test_tail_integrals_match_2d_quadrature():
     rule = composite_rule(0.0, 40.0, 27, 24)
     for tau in (-1.0, 0.0, 1.0, 2.0):
         for a in (tau, -tau):
-            got = np.exp(a * pts) * _tail_integrals(a, tau**2, pts, 42.0)
+            args, finish = _tail_plan(a, tau**2, pts, 42.0)
+            got = np.exp(a * pts) * finish(airy_ai(args))
             table = airy_ai(pts[:, None] + tau**2 + rule.nodes[None, :])
             ref = table @ (rule.weights * np.exp(-a * rule.nodes))
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (tau, a)
@@ -184,9 +187,8 @@ def test_tail_integrals_match_2d_quadrature():
 
 
 # Uniform-shift identities behind the closed-form derivative in limit_cdf:
-# every threshold and every evaluation point moves by the same delta.
+# every threshold and every evaluation point (node) moves by the same delta.
 SHIFT_SPEC = MultiPointSpec((-0.7, 0.2, 1.1), (-0.5, 0.3, 1.0))
-SHIFT_POINTS = np.array([-2.0, -0.4, 0.0, 0.9, 2.5])
 
 
 def _shift_derivative(fn, h=2e-3):
@@ -214,29 +216,29 @@ def test_kernel_shift_identity():
                 assert abs(fd - exact) <= 1e-9, (i, j, x, y, fd, exact)
 
 
+def _shifted_terms(delta):
+    """def11_terms with every threshold moved by delta (the nodes move too)."""
+    return def11_terms(NystromSystem(_shifted(delta), QuadratureConfig(n=24)))
+
+
 def test_psi_shift_identity():
-    # Psi_j' = tau_j Psi_j + Ai(y + tau_j^2)
-    for j, tau in enumerate(SHIFT_SPEC.taus, start=1):
-        fd = _shift_derivative(lambda d: psi_function(_shifted(d), j, SHIFT_POINTS + d))
-        exact = tau * psi_function(SHIFT_SPEC, j, SHIFT_POINTS) + airy_ai(SHIFT_POINTS + tau**2)
-        assert np.max(np.abs(fd - exact)) <= 1e-9, j
+    # Psi_j' = tau_j Psi_j + Ai(y + tau_j^2); Psi_3 grows like e^{1.1 y} to
+    # about 1e9 on the far nodes, so the bound is relative beyond |.| = 1
+    terms = _shifted_terms(0.0)
+    fd = _shift_derivative(lambda d: _shifted_terms(d).psi)
+    exact = np.array(SHIFT_SPEC.taus)[:, None] * terms.psi + terms.ai_shift
+    assert np.all(np.abs(fd - exact) <= 1e-9 * np.maximum(np.abs(exact), 1.0))
 
 
 def test_phi_and_r_shift_identities():
     # Phi_i' = -tau_i Phi_i + (1 - c B(0)) Ai(x + tau_i^2) and R' = 1 - c B(0),
     # c = e^{-2/3 tau_1^3}; Phi and R depend on s_1, which moves too
-    t1 = SHIFT_SPEC.taus[0]
-    b_zero = float(_b_table(SHIFT_SPEC, np.zeros(1))[0])
-    dr = 1.0 - math.exp(-(2.0 / 3.0) * t1**3) * b_zero
-    for i, tau in enumerate(SHIFT_SPEC.taus, start=1):
-        fd = _shift_derivative(lambda d: phi_function(_shifted(d), i, SHIFT_POINTS + d))
-        exact = -tau * phi_function(SHIFT_SPEC, i, SHIFT_POINTS) + dr * airy_ai(SHIFT_POINTS + tau**2)
-        assert np.max(np.abs(fd - exact)) <= 1e-9, i
-    assert abs(_shift_derivative(lambda d: _r_value(_shifted(d))) - dr) <= 1e-9
-    # def11_terms carries the same B(0)
-    quad = QuadratureConfig(n=24)
-    terms = def11_terms(NystromSystem(SHIFT_SPEC, quad))
-    assert terms.b_zero == b_zero
+    terms = _shifted_terms(0.0)
+    dr = 1.0 - math.exp(-(2.0 / 3.0) * SHIFT_SPEC.taus[0] ** 3) * terms.b_zero
+    fd = _shift_derivative(lambda d: _shifted_terms(d).phi)
+    exact = -np.array(SHIFT_SPEC.taus)[:, None] * terms.phi + dr * terms.ai_shift
+    assert np.max(np.abs(fd - exact)) <= 1e-9
+    assert abs(_shift_derivative(lambda d: _shifted_terms(d).r_value) - dr) <= 1e-9
 
 
 def test_airy_log_envelope_bounds_ai():
