@@ -63,7 +63,7 @@ _DEFAULTS = {
     },
     "limit-cdf": {
         "taus": [0.0], "s_min": -4.0, "s_max": 4.0, "s_step": 0.5,
-        "quad_n": 64, "quad_lambda": 12.0,
+        "quad_n": 32, "quad_lambda": 12.0,
     },
     "compare": {
         "rho": 0.5, "T": 500.0, "taus": [0.0], "n_samples": 10000,

@@ -14,9 +14,10 @@ For tau_i > tau_j this is the rewrite of -int_{-inf}^0 via the bilinear
 Airy convolution identity; khat_dual_check evaluates both routes.
 
 Discretization: per threshold k, an n-node Gauss-Legendre rule on
-[s_k, s_k + Lambda]; the block matrix is balanced with sqrt(w_p w_q) so one
-LU of 1 - D, taken on first use, serves det(1-D), its sign check and the
-resolvent solve.  The inner product keeps its identity component exact:
+[s_k, s_k + Lambda_k], n from the resolution bounds of _node_count; the
+block matrix is balanced with sqrt(w_p w_q) so one LU of 1 - D, taken on
+first use, serves det(1-D), its sign check and the resolvent solve.  The
+inner product keeps its identity component exact:
 
     <rho P Phi, P Psi> = <Phi, Psi>_w + psi^T (1-D)^{-1} D phi.
 
@@ -90,7 +91,7 @@ class MultiPointSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    n: int = 64               # Gauss-Legendre nodes per threshold interval
+    n: int = 32               # least Gauss-Legendre nodes per threshold interval
     big_lambda: float = 12.0  # truncation length of [s_k, s_k + Lambda]
 
     def __post_init__(self):
@@ -108,7 +109,7 @@ class QuadratureConfig:
 # certified below e^-TAIL_EXPONENT (~5e-19) and integrated with Gauss-Legendre
 # panels of width PANEL_WIDTH carrying PANEL_NODES nodes each.
 TAIL_EXPONENT = 42.0
-PANEL_WIDTH, PANEL_NODES = 1.5, 24
+PANEL_WIDTH, PANEL_NODES = 1.5, 12
 
 
 # log max|Ai| (max|Ai| = 0.53566 at t = -1.0188), rounded up
@@ -194,16 +195,52 @@ def _tail_plan(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT)
     return u + b, finish
 
 
+N_CAP = 512  # the most nodes per threshold interval limit_cdf will use
+
+
+def _node_count(spec: MultiPointSpec, floor: int, l_max: float) -> int:
+    """Gauss-Legendre nodes per threshold interval: the larger of `floor`
+    and two resolution bounds over the longest interval l_max, rounded up
+    to a multiple of 8, so that few rule sizes reach the cache of
+    specfun._leggauss.
+
+    Gaussian (m >= 2): the closest pair's Gaussian term has width
+    sigma = sqrt(2 min(tau_{k+1} - tau_k)); 2.4 l_max / sigma nodes.
+    Airy (x_min = min_k(s_k + tau_k^2) < 0): the kernel oscillates with local
+    wavelength 2 pi / sqrt(-x_min) at the left end; 0.75 l_max sqrt(-x_min)
+    nodes, three per wavelength mid-interval, where Gauss-Legendre nodes
+    are sparsest.
+
+    The constants were sized against references at 2n and beyond: F
+    agreed with them to 1e-12 or better, at |tau| <= 2.5 and s in
+    [-10, 6].  A count past N_CAP is refused with AccuracyError; at
+    Lambda = 12 that happens for tau's closer than about 0.002."""
+    n = floor
+    if spec.m > 1:
+        sigma = math.sqrt(2.0 * min(b - a for a, b in zip(spec.taus, spec.taus[1:])))
+        n = max(n, math.ceil(2.4 * l_max / sigma))
+    x_min = min(s + t * t for s, t in zip(spec.esses, spec.taus))
+    if x_min < 0.0:
+        n = max(n, math.ceil(0.75 * l_max * math.sqrt(-x_min)))
+    n = -(-n // 8) * 8
+    if n > N_CAP:
+        raise AccuracyError(
+            f"the kernel needs n = {n} nodes per interval to be resolved, "
+            f"more than {N_CAP}: refused"
+        )
+    return n
+
+
 class NystromSystem:
     """Quadrature grids, the balanced block kernel matrix, and Definition-1.1
-    ingredient tables for one (spec, config) pair."""
+    ingredient tables for one (spec, config) pair; quad.n is a floor on the
+    nodes per interval, and `n` holds the count _node_count chose."""
 
     def __init__(self, spec: MultiPointSpec, quad: QuadratureConfig):
         self.spec = spec
         m = spec.m
         taus = np.array(spec.taus)
         esses = np.array(spec.esses)
-        n = quad.n
 
         # Per-interval truncation: [s_k, s_k + Lambda_k].  Lambda_k must cover
         # the Psi*Phi pairing tail, which decays like
@@ -226,6 +263,7 @@ class NystromSystem:
                 lk = max(lk, gauss_reach - esses[k])
             lengths.append(lk)
         self.lengths = lengths
+        self.n = n = _node_count(spec, quad.n, max(lengths))
 
         rules = [legendre_rule(n, s, s + lk) for s, lk in zip(esses, lengths)]
         self.nodes = [r.nodes for r in rules]
@@ -282,11 +320,17 @@ class NystromSystem:
 
     def cond1_estimate(self) -> float:
         """LAPACK's estimate of the 1-norm condition number of 1 - D, from
-        the shared LU; within a factor 3 of the exact value in practice."""
+        the shared LU; within a factor 3 of the exact value in practice.
+
+        Rounded down to 3 significant digits: dgecon's last digits follow
+        the memory alignment of the workspace its wrapper allocates, which
+        changes from call to call, and rounding down keeps the estimate a
+        lower bound."""
         from scipy.linalg.lapack import dgecon
         lu, _ = self._factor()
         rcond, _ = dgecon(lu, self._norm1, norm="1")
-        return 1.0 / rcond
+        scale = 10.0 ** (2 - math.floor(math.log10(1.0 / rcond)))
+        return math.floor(scale / rcond) / scale
 
     def slogdet(self) -> Tuple[float, float]:
         """(sign, log|det|) of 1 - D from the shared LU."""
@@ -526,12 +570,12 @@ def limit_cdf(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig())
         det_value=det0,
         g_value=g0,
         diagnostics={
-            "n": quad.n,
+            "n": base.n,
             "big_lambda": quad.big_lambda,
             "systems_built": 1,
             "lengths": [float(v) for v in base.lengths],
             "lam_len": base.lam_len,
-            "nodes": spec.m * quad.n,
+            "nodes": spec.m * base.n,
             "lam_nodes": int(base.lam.size),
             "logdet": base.slogdet()[1],
             "cond1_est": base.cond1_estimate(),
@@ -552,9 +596,10 @@ def invertibility_guard(
 def convergence_gap(
     spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig()
 ) -> Dict[str, float]:
-    """|value(n, Lambda) - value(2n, Lambda+4)| for F, det, and g."""
+    """|value(n, Lambda) - value(2n, Lambda+4)| for F, det, and g, where n is
+    the node count the base value used (quad.n or more)."""
     base = limit_cdf(spec, quad)
-    fine = limit_cdf(spec, quad.refined())
+    fine = limit_cdf(spec, QuadratureConfig(base.diagnostics["n"], quad.big_lambda).refined())
     return {
         "f_gap": abs(base.f_value - fine.f_value),
         "det_gap": abs(base.det_value - fine.det_value),

@@ -29,6 +29,14 @@ def test_limit_cdf_csv(tmp_path):
     assert all(b >= a - 1e-9 for a, b in zip(fvals, fvals[1:]))  # monotone column
 
 
+def test_limit_cdf_refuses_nearly_equal_taus(tmp_path):
+    # Gaussian term of width sqrt(2e-4) = 0.014: more nodes than N_CAP
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"taus": [-0.0001, 0.0001], "s_min": 0, "s_max": 0}))
+    assert run_cli(["limit-cdf", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "cdf.csv").exists()
+
+
 def test_simulate_lpp_reproducible(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T": 250.0, "n_samples": 50, "master_seed": 5}))

@@ -4,6 +4,11 @@ Frozen values come from the refined (2n, Lambda+4) configuration, itself
 stable to ~1e-10 under further refinement; the stationary determinant value
 doubles as a cross-check against the classical GUE Tracy-Widom CDF at 0."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,6 +191,100 @@ def test_convergence_under_refinement():
         assert gaps["g_gap"] <= 1e-6
 
 
+def test_convergence_gap_refines_from_the_nodes_used(monkeypatch):
+    # at delta tau = 0.05 the Gaussian bound raises n above the floor, and
+    # the refined value doubles that n, not the floor
+    used = []
+    init = NystromSystem.__init__
+
+    def recording_init(self, spec, quad):
+        init(self, spec, quad)
+        used.append(self.n)
+
+    monkeypatch.setattr(NystromSystem, "__init__", recording_init)
+    gaps = convergence_gap(MultiPointSpec((-0.025, 0.025), (0.0, 0.0)), Q)
+    assert used[0] > Q.n and used == [used[0], 2 * used[0]], used
+    assert gaps["f_gap"] <= 1e-12 and gaps["det_gap"] <= 1e-12
+
+
+def _accuracy_specs():
+    """m = 1 at six tau's and six tau sets with m >= 2, each on s = -8, ..., 6
+    with equal thresholds and, for m >= 2, two staggered threshold sets."""
+    tau_sets = [(t,) for t in (-2.5, -2.0, -1.0, 0.0, 1.0, 2.0)] + [
+        (-1.0, 1.0), (-0.5, 0.7), (-2.0, 2.0), (-2.5, 2.5), (-0.025, 0.025), (-2.0, 0.0, 1.5),
+    ]
+    for taus in tau_sets:
+        m = len(taus)
+        for s in range(-8, 7):
+            yield MultiPointSpec(taus, (float(s),) * m)
+        if m > 1:
+            yield MultiPointSpec(taus, tuple(-1.0 + 0.7 * k for k in range(m)))
+            yield MultiPointSpec(taus, tuple(1.5 - 1.2 * k for k in range(m)))
+
+
+def test_limit_cdf_matches_refined_reference(monkeypatch):
+    # F at the default quadrature against (2 n_used, Lambda + 4) with 24-node
+    # panels; the bound was fixed before measuring (the largest gap read
+    # 9.3e-13, at tau = 2, where the reference's own rounding shows)
+    specs = list(_accuracy_specs())
+    results = [limit_cdf(spec, Q) for spec in specs]
+    raised = [res.diagnostics["n"] for res in results if res.diagnostics["n"] > Q.n]
+    assert raised and all(n % 8 == 0 for n in raised)
+    monkeypatch.setattr(limitlaw, "PANEL_NODES", 24)
+    for spec, res in zip(specs, results):
+        d = res.diagnostics
+        assert d["nodes"] == spec.m * d["n"]
+        ref = limit_cdf(spec, QuadratureConfig(d["n"], Q.big_lambda).refined())
+        assert abs(res.f_value - ref.f_value) <= 2e-12, (spec, d["n"], res.f_value, ref.f_value)
+
+
+def test_nearly_equal_taus_refused_or_resolved():
+    # the Gaussian term of the closest pair has width sqrt(2 delta tau); past
+    # N_CAP nodes it cannot be resolved, and the value is refused
+    for delta in (1e-4, 1e-3):
+        with pytest.raises(AccuracyError):
+            limit_cdf(MultiPointSpec((-delta / 2, delta / 2), (0.0, 0.0)), Q)
+    # at delta tau = 0.01 it is resolved: the joint CDF stays below each
+    # marginal (at n = 64 and delta tau = 1e-4 it read 0.81 against 0.52)
+    for s in (-3.0, -1.5, 0.0, 1.5, 3.0):
+        joint = limit_cdf(MultiPointSpec((-0.005, 0.005), (s, s)), Q)
+        assert joint.diagnostics["n"] > Q.n
+        for tau in (-0.005, 0.005):
+            assert joint.f_value <= limit_cdf(MultiPointSpec((tau,), (s,)), Q).f_value, s
+
+
+# Records whose every value must come out bit for bit the same in any process:
+# m >= 2 at (128, 16), where dgecon's last digits used to drift, and two
+# specs whose node count the Gaussian bound raises to 104 and 240
+_RECORDS = """
+from stasep.limitlaw import MultiPointSpec, QuadratureConfig, limit_cdf
+fine = QuadratureConfig(128, 16.0)
+cases = [(taus, s, fine) for taus in ((-1.0, 1.0), (-0.5, 0.7), (-2.0, 0.0, 1.5))
+         for s in (-3.0, -2.0, -1.5, -0.5, 0.0, 1.0, 1.5, 2.5)]
+cases += [((-0.025, 0.025), 0.0, QuadratureConfig()), ((-0.005, 0.005), -1.0, QuadratureConfig())]
+for taus, s, quad in cases:
+    r = limit_cdf(MultiPointSpec(taus, (s,) * len(taus)), quad)
+    d = r.diagnostics
+    print(taus, s, d["n"], r.f_value.hex(), r.det_value.hex(), r.g_value.hex(), d["cond1_est"].hex())
+"""
+
+
+def test_records_reproducible_across_processes():
+    src = str(Path(limitlaw.__file__).resolve().parent.parent)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _RECORDS], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        for _ in range(2)
+    ]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 26 and all(int(line.split()[-5]) > 100 for line in lines[-2:])
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_limit_cdf_pinned_values():
     for taus, values in PINNED_F.items():
         for s, ref in zip((-4.0, 0.0, 4.0), values):
@@ -263,7 +362,7 @@ def test_airy_evaluations_per_cdf_point(monkeypatch):
     # and for tau = (-1, 1) at s = (s, s); both counts are deterministic
     calls = _counting_airy(monkeypatch)
     grid = [-4.0 + 0.5 * k for k in range(17)]
-    for taus, bound in (((0.0,), 15404), ((-1.0, 1.0), 24324)):
+    for taus, bound in (((0.0,), 4911), ((-1.0, 1.0), 7903)):
         calls.clear()
         for s in grid:
             limit_cdf(MultiPointSpec(taus, (s,) * len(taus)), Q)
