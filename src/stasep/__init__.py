@@ -27,7 +27,6 @@ from .limitlaw import (
     LimitLawResult,
     MultiPointSpec,
     QuadratureConfig,
-    invertibility_guard,
     khat,
     khat_dual_check,
     limit_cdf,

@@ -34,9 +34,8 @@ from .errors import (
 )
 from .experiments import (
     _batched_g,
-    burke_validate,
+    burke_increments_validate,
     gaussian_offchar_validate,
-    invertibility_validate,
     kernel_dual_validate,
     mc_vs_limit,
     offchar_gammas,
@@ -245,10 +244,7 @@ def _validate_battery(cfg):
     quick = cfg["quick"]
     yield pathwise_bridge_validate(rho, 300 if quick else 10000, seed)
     yield kernel_dual_validate(seed)
-    yield invertibility_validate(
-        [MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)), MultiPointSpec((0.0,), (5.0,))], seed
-    )
-    yield burke_validate(rho, 3000 if quick else 10000, seed)
+    yield burke_increments_validate(rho, 3000 if quick else 10000, seed)
     yield shift_argument_validate(
         0.25, 0.25, [(2, 2)], np.arange(2.0, 11.0, 1.0), 10**5 if quick else 10**6, seed
     )

@@ -583,16 +583,6 @@ def limit_cdf(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig())
     )
 
 
-def invertibility_guard(
-    spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig()
-) -> Tuple[bool, Dict[str, float]]:
-    """det(1-D) > 0 check.  The continuum determinant is bounded below by a
-    strictly positive constant depending only on min_k s_k, so a non-positive
-    value here indicts the discretization, not the operator."""
-    sign, logabs = NystromSystem(spec, quad).slogdet()
-    return sign > 0, {"det": sign * math.exp(logabs), "sign": sign}
-
-
 def convergence_gap(
     spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig()
 ) -> Dict[str, float]:

@@ -34,9 +34,6 @@ TAG_FIELD = 0        # LPP weight field uniforms
 TAG_ZETA = 1         # Bernoulli-domain boundary geometrics
 TAG_OMEGA = 2        # TASEP jump clocks
 TAG_INIT = 3         # initial occupation variables
-TAG_QUEUE_ARR = 4    # tandem-queue arrival gaps
-TAG_QUEUE_SRV = 5    # tandem-queue service times
-TAG_QUEUE_LEN = 6    # tandem-queue initial lengths
 TAG_SCRATCH = 7      # sequential CounterStream draws
 
 
@@ -146,8 +143,8 @@ class SeedSpec:
 
 class CounterStream:
     """Sequential draws from one lane.  Deterministic given the construction
-    point; used for ad-hoc scalar sampling (boundary geometrics, queue
-    streams).  Lattice fields never go through this class."""
+    point; used for ad-hoc scalar sampling (the Bernoulli-domain boundary
+    geometrics).  Lattice fields never go through this class."""
 
     def __init__(self, seed: SeedSpec, tag: int = TAG_SCRATCH, lane: int = 0):
         self._key = seed.key
@@ -167,9 +164,8 @@ class CounterStream:
 
 
 def sample_geom(stream: CounterStream, q: float) -> int:
-    """One draw with P(X = k) = (1-q) q^k, k >= 0.  The stationary length
-    of an M/M/1 queue with arrival rate rho and unit service rate is the
-    case q = rho."""
+    """One draw with P(X = k) = (1-q) q^k, k >= 0.  The Bernoulli-domain
+    zetas are the cases q = 1-rho and q = rho."""
     if not 0 <= q < 1:
         raise ParameterError(f"geometric parameter must be in [0,1), got {q}")
     if q == 0.0:

@@ -13,7 +13,7 @@ from stasep.errors import ParameterError, RefusalError
 from stasep.experiments import (
     _batched_g,
     EmpiricalCDF,
-    burke_validate,
+    burke_increments_validate,
     gaussian_coefficients,
     gaussian_offchar_validate,
     limit_cdf_table,
@@ -23,9 +23,7 @@ from stasep.experiments import (
     shift_argument_validate,
     shift_coupling_validate,
     slow_decorrelation_validate,
-    tandem_queue_sim,
 )
-from stasep.rng import SeedSpec
 from stasep.scaling import ScalingFrame, characteristic_ratio
 from stasep.weights import ModelParams
 
@@ -204,27 +202,36 @@ def test_batched_g_same_bits_on_two_processes(monkeypatch):
     assert np.array_equal(pooled, _chunk_reference(params, 5, 300, pts, 64))
 
 
-def test_tandem_queue_sim_counts():
-    lengths, deps = tandem_queue_sim(0.5, 2, 400.0, SeedSpec(9, 0))
-    n = len(deps[1])
-    assert abs(n - 200.0) <= 4.0 * np.sqrt(200.0)
-    assert all(l >= 0 for l in lengths)
-    gaps = np.diff(np.array(deps[1]))
-    assert np.all(gaps > 0)
-
-
-def test_burke_small():
-    rep = burke_validate(0.5, 2000, 21, n_replicas=2000)
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.8])
+def test_burke_increments(rho):
+    # the exact increment law holds at every size and every rho
+    rep = burke_increments_validate(rho, 4000, 21)
+    assert rep.name == "burke-equilibrium"
     assert rep.passed, rep.extras
-    assert abs(rep.extras["p_len0"] - 0.5) < 0.04
 
 
-def test_burke_off_half():
-    # the M/M/1 stationary law (1-rho) rho^k at rho = 0.3: P(L=0) = 0.7; the
-    # default p-threshold 0.01 and the 4-sigma band are fixed in advance
-    rep = burke_validate(0.3, 2000, 21, n_replicas=2000)
-    assert rep.passed, rep.extras
-    assert abs(rep.extras["p_len0"] - 0.7) < 0.04
+def test_burke_increments_fail_on_swapped_border_means(monkeypatch):
+    # mutation: the model at 1 - rho swaps the two border means (at rho =
+    # 1/2 that swap is the identity), so both marginal tests must fail
+    real = experiments.ModelParams.two_sided
+    monkeypatch.setattr(experiments.ModelParams, "two_sided", lambda rho: real(1.0 - rho))
+    rep = burke_increments_validate(0.3, 4000, 21)
+    assert not rep.passed
+    assert 3.0 * rep.extras["ks_horizontal_pvalue"] <= rep.threshold
+    assert 3.0 * rep.extras["ks_vertical_pvalue"] <= rep.threshold
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.8])
+def test_burke_increments_fail_on_up_right_path(monkeypatch, rho):
+    # mutation: along an up-right path each increment keeps its exact
+    # marginal law but neighbours across a corner are dependent, so only the
+    # Gamma(15, 1) test of their sum can catch it
+    monkeypatch.setattr(experiments, "BURKE_PATH", ((40, 75), "RRRRRUUUUURRRRR"))
+    rep = burke_increments_validate(rho, 4000, 21)
+    assert not rep.passed
+    assert 3.0 * rep.extras["ks_horizontal_pvalue"] > rep.threshold
+    assert 3.0 * rep.extras["ks_vertical_pvalue"] > rep.threshold
+    assert 3.0 * rep.extras["gamma_sum_pvalue"] <= rep.threshold
 
 
 def test_gaussian_coefficients_values():

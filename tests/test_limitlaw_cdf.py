@@ -20,7 +20,6 @@ from stasep.limitlaw import (
     QuadratureConfig,
     convergence_gap,
     def11_terms,
-    invertibility_guard,
     limit_cdf,
 )
 
@@ -157,11 +156,10 @@ def test_m1_joint_prob_bounded_by_marginals():
     assert f2 <= min(fa, fb) + 1e-6
 
 
-def test_invertibility_guard_and_fault_injection():
-    ok, diag = invertibility_guard(MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)), Q)
-    assert ok and diag["det"] > 0.0
-    ok, diag = invertibility_guard(MultiPointSpec((0.0,), (5.0,)), Q)
-    assert ok and diag["det"] == pytest.approx(1.0, abs=1e-6)
+def test_nystrom_det_positive_and_fault_injection():
+    # det raises InvertibilityError on a non-positive sign
+    assert NystromSystem(MultiPointSpec((-1.0, 1.0), (-3.0, -3.0)), Q).det > 0.0
+    assert NystromSystem(MultiPointSpec((0.0,), (5.0,)), Q).det == pytest.approx(1.0, abs=1e-6)
     # corrupt the kernel so one eigenvalue of D crosses 1: det flips sign
     sysm = NystromSystem(MultiPointSpec((0.0,), (-3.0,)), Q)
     eigs = np.linalg.eigvals(sysm.matrix).real
@@ -414,8 +412,6 @@ def test_shared_lu_matches_numpy():
         g = sq * np.concatenate(terms.psi)
         ref = float(g @ f) + float(g @ np.linalg.solve(a, sysm.matrix @ f))
         assert sysm.resolvent_inner(terms.phi, terms.psi) == pytest.approx(ref, rel=1e-13)
-        ok, diag = invertibility_guard(spec, Q)
-        assert ok and diag["det"] == pytest.approx(sysm.det, rel=1e-13)
 
 
 def test_solve_matches_scipy_lu_solve_bitwise():
