@@ -15,9 +15,10 @@ Airy convolution identity; khat_dual_check evaluates both routes.
 
 Discretization: per threshold k, an n-node Gauss-Legendre rule on
 [s_k, s_k + Lambda_k], n from the resolution bounds of _node_count; the
-block matrix is balanced with sqrt(w_p w_q) so one LU of 1 - D, taken on
-first use, serves det(1-D), its sign check and the resolvent solve.  The
-inner product keeps its identity component exact:
+block matrix is balanced with sqrt(w_p w_q).  numpy's slogdet gives det(1-D)
+and its sign check; one inverse of 1 - D, taken after that check, serves
+every solve and the exact condition number.  The inner product keeps its
+identity component exact:
 
     <rho P Phi, P Psi> = <Phi, Psi>_w + psi^T (1-D)^{-1} D phi.
 
@@ -47,7 +48,8 @@ Phi', so with v = (1-D)^{-1} phi and u = (1-D)^{-T} psi
     d log det = a^T (1-D)^{-1} a,
     <rho Phi, Psi>' = a^T v + (1 - c B(0)) u^T a - (u^T a)(a^T v),
 
-three solves against the one LU (_shift_derivatives).
+where u^T a = psi^T (1-D)^{-1} a: two solves, for (1-D)^{-1} a and v
+(_shift_derivatives).
 """
 
 import math
@@ -296,54 +298,28 @@ class NystromSystem:
                     blk = blk - _gauss_term(spec.taus[i], spec.taus[j], x, y)
                 blocks[i][j] = sqw[i][:, None] * blk * sqw[j][None, :]
         self.matrix = np.block(blocks)
-        self._lu: Optional[Tuple] = None
-        self._norm1: Optional[float] = None  # 1-norm of 1 - D, kept by _factor
+        self._slogdet: Optional[Tuple[float, float]] = None
+        self._inv: Optional[np.ndarray] = None
+        self._norm1: Optional[float] = None  # 1-norm of 1 - D, kept by _inverse
 
-    def _factor(self) -> Tuple:
-        """LU of 1 - D, taken on first use (so an edit of `matrix` made
-        before then is seen) and shared by det, slogdet and the resolvent.
-        LAPACK's dgetrf directly, with scipy.linalg.lu_factor's checks; an
-        exactly singular factor (info > 0) is left to det's sign check."""
-        if self._lu is None:
-            # imported on first use, as scipy.special: together they add
-            # about 26 MB to a process that never needs the limit law
-            from scipy.linalg.lapack import dgetrf
-            one_minus_d = np.eye(self.matrix.shape[0]) - self.matrix
-            if not np.isfinite(one_minus_d).all():
-                raise ValueError("Nystrom matrix must contain only finite numbers")
-            self._norm1 = float(np.linalg.norm(one_minus_d, 1))
-            lu, piv, info = dgetrf(one_minus_d, overwrite_a=True)
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of dgetrf")
-            self._lu = (lu, piv)
-        return self._lu
-
-    def cond1_estimate(self) -> float:
-        """LAPACK's estimate of the 1-norm condition number of 1 - D, from
-        the shared LU; within a factor 3 of the exact value in practice.
-
-        Rounded down to 3 significant digits: dgecon's last digits follow
-        the memory alignment of the workspace its wrapper allocates, which
-        changes from call to call, and rounding down keeps the estimate a
-        lower bound."""
-        from scipy.linalg.lapack import dgecon
-        lu, _ = self._factor()
-        rcond, _ = dgecon(lu, self._norm1, norm="1")
-        scale = 10.0 ** (2 - math.floor(math.log10(1.0 / rcond)))
-        return math.floor(scale / rcond) / scale
+    def _one_minus_d(self) -> np.ndarray:
+        """1 - D, formed from `matrix` when asked for (so an edit made before
+        det or a solve is seen); a non-finite entry is refused."""
+        one_minus_d = np.eye(self.matrix.shape[0]) - self.matrix
+        if not np.isfinite(one_minus_d).all():
+            raise ValueError("Nystrom matrix must contain only finite numbers")
+        return one_minus_d
 
     def slogdet(self) -> Tuple[float, float]:
-        """(sign, log|det|) of 1 - D from the shared LU."""
-        lu, piv = self._factor()
-        diag = np.diag(lu)
-        swaps = np.count_nonzero(piv != np.arange(piv.size))
-        sign = (-1.0) ** swaps * float(np.prod(np.sign(diag)))
-        with np.errstate(divide="ignore"):
-            logabs = float(np.sum(np.log(np.abs(diag))))
-        return sign, logabs
+        """(sign, log|det|) of 1 - D, taken on first use; an exactly
+        singular 1 - D gives sign 0, which det refuses."""
+        if self._slogdet is None:
+            sign, logabs = np.linalg.slogdet(self._one_minus_d())
+            self._slogdet = float(sign), float(logabs)
+        return self._slogdet
 
-    @property
-    def det(self) -> float:
+    def _positive_det(self) -> float:
+        """det(1 - D), refused unless positive."""
         sign, logabs = self.slogdet()
         if sign <= 0:
             raise InvertibilityError(
@@ -353,18 +329,49 @@ class NystromSystem:
             )
         return sign * math.exp(logabs)
 
+    @property
+    def det(self) -> float:
+        return self._positive_det()
+
+    def _inverse(self) -> np.ndarray:
+        """(1 - D)^{-1}, taken once, after det's sign check, and shared by
+        every solve and by cond1.  With slogdet's LU that makes two LAPACK
+        factorizations per system; the inverse then serves each right-hand
+        side, and the exact condition number, with matrix products."""
+        if self._inv is None:
+            self._positive_det()
+            one_minus_d = self._one_minus_d()
+            self._norm1 = float(np.linalg.norm(one_minus_d, 1))
+            try:
+                self._inv = np.linalg.inv(one_minus_d)
+            except np.linalg.LinAlgError as exc:
+                raise InvertibilityError(f"Nystrom matrix 1 - D is singular: {exc}") from exc
+        return self._inv
+
+    def cond1(self) -> float:
+        """The 1-norm condition number ||1-D||_1 ||(1-D)^{-1}||_1 of 1 - D,
+        rounded down to 3 significant digits."""
+        inv_norm1 = float(np.linalg.norm(self._inverse(), 1))
+        kappa = self._norm1 * inv_norm1
+        scale = 10.0 ** (2 - math.floor(math.log10(kappa)))
+        return math.floor(scale * kappa) / scale
+
     def balanced(self, table: np.ndarray) -> np.ndarray:
         """sqrt(w) times a node table of shape (m, n), as one vector."""
         return np.sqrt(np.concatenate(self.weights)) * np.concatenate(table)
 
-    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """(1-D)^{-1} rhs, or (1-D)^{-T} rhs, from the shared LU."""
-        from scipy.linalg.lapack import dgetrs
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(1-D)^{-1} rhs from the shared inverse X, refined twice by
+        x += X (rhs - (1-D) x).  A bare X rhs has an error of order
+        eps * cond1 in every component, which in the left tail (cond1 up to
+        1e12 at s = -10) buries g; each refinement step shrinks that error
+        by a factor of order eps * cond1, down to the level of an LU solve."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must contain only finite numbers")
-        x, info = dgetrs(*self._factor(), rhs, trans=1 if transpose else 0)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgetrs")
+        inv = self._inverse()
+        x = inv @ rhs
+        for _ in range(2):
+            x = x + inv @ (rhs - x + self.matrix @ x)
         return x
 
     def resolvent_inner(self, phi: np.ndarray, psi: np.ndarray) -> float:
@@ -536,13 +543,12 @@ def _shift_derivatives(
     spec: MultiPointSpec, sysm: NystromSystem, terms: Def11Terms
 ) -> Tuple[float, float]:
     """(d log det, dg) along (1, ..., 1), from the identities in the module
-    docstring and three solves against the system's LU."""
+    docstring and two solves with the system's inverse."""
     a = sysm.balanced(terms.ai_shift)
     ra, v = sysm.solve(np.stack([a, sysm.balanced(terms.phi)], axis=1)).T
-    u = sysm.solve(sysm.balanced(terms.psi), transpose=True)
     dr = 1.0 - math.exp(-(2.0 / 3.0) * spec.taus[0] ** 3) * terms.b_zero
     av = float(a @ v)
-    ua = float(u @ a)
+    ua = float(sysm.balanced(terms.psi) @ ra)
     dpairing = av + dr * ua - ua * av
     return float(a @ ra), dr - dpairing
 
@@ -578,7 +584,7 @@ def limit_cdf(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig())
             "nodes": spec.m * base.n,
             "lam_nodes": int(base.lam.size),
             "logdet": base.slogdet()[1],
-            "cond1_est": base.cond1_estimate(),
+            "cond1_est": base.cond1(),
         },
     )
 

@@ -68,6 +68,11 @@ def _diagonal_runs(stops, d_max: int):
     return d[new], a[new], b[np.append(new[1:], True)]
 
 
+def _block_cells(lanes: int) -> int:
+    """Cells per cell_weights call in _sweep."""
+    return max(1, HASH_BLOCK_CELLS // max(lanes, 1))
+
+
 def _sweep(cell_weights, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarray:
     """G(i, j) = w(i, j) + max(G(i-1, j), G(i, j-1)) over the row prefixes
     {0 <= i <= stops[j]}, G = 0 off them, for `lanes` weight fields at
@@ -81,9 +86,10 @@ def _sweep(cell_weights, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarr
     down-left closed set gives G = 0 there exactly (the TASEP bridge sets
     its T = 0 staircase that way).  The weights do not depend on G, so
     cell_weights(i, j), giving w at the cells (i[k], j[k]) of 1-D index
-    arrays as a (cells, lanes) array, is asked for HASH_BLOCK_CELLS // lanes
-    cells at a time, in sweep order: short diagonals share a call, and a
-    run may span two.
+    arrays as a (cells, lanes) array, is asked for _block_cells(lanes) cells
+    at a time, in sweep order: short diagonals share a call, and a run may
+    span two.  Each array is read only until the next call, so cell_weights
+    may write every block into one buffer.
     """
     stops = [int(b) for b in stops]
     if min(stops) < 0 or any(a < b for a, b in zip(stops, stops[1:])):
@@ -99,7 +105,7 @@ def _sweep(cell_weights, stops, lanes: int, wanted: Sequence[Point]) -> np.ndarr
     ii = np.repeat(d, size) - jj
     at = at.tolist()
     runs = list(zip(d.tolist(), lo.tolist(), hi.tolist()))
-    step = max(1, HASH_BLOCK_CELLS // max(lanes, 1))
+    step = _block_cells(lanes)
     out = np.empty((len(wanted), lanes))
     g = np.zeros((2, len(stops) + 1, lanes))  # g[0] pads row j = -1
     base = end = 0  # w holds the weights of cells base..end-1
@@ -156,7 +162,10 @@ def last_passage_batch(
     """
     reach = _row_reach(_check_points(points))
     bw = BatchWeights(params, master_seed, sample_indices)
-    g = _sweep(bw.cells, reach, len(bw.keys), [(int(p[0]), int(p[1])) for p in points])
+    lanes = len(bw.keys)
+    block = np.empty((_block_cells(lanes), lanes))  # reused by every block
+    pts = [(int(p[0]), int(p[1])) for p in points]
+    g = _sweep(lambda i, j: bw.cells(i, j, out=block[: len(i)]), reach, lanes, pts)
     return g.T
 
 

@@ -69,15 +69,30 @@ def stream_key(master_seed: int, sample_index):
     return z
 
 
-def counter_hash(key, tag: int, i, j):
+class KeyTile:
+    """Stream keys prepared for hashing blocks of up to `rows` cells: key * PHI
+    tiled to shape (rows, keys), so a block's counters are added to it without
+    broadcasting the keys again, and a scratch block of that shape for the
+    mixer, so hashing block after block allocates nothing."""
+
+    def __init__(self, keys, rows: int):
+        self.rows = rows
+        self.phi = np.tile(np.asarray(keys, dtype=np.uint64) * _PHI, (rows, 1))
+        self.scratch = np.empty_like(self.phi)
+
+
+def counter_hash(key, tag: int, i, j, out=None):
     """Raw 64-bit output for cells (i, j) in lane `tag`.  key, i and j may be
-    numpy integer arrays (broadcast); i and j must lie in [0, 2**30).
+    numpy integer arrays (broadcast); i and j must lie in [0, 2**30).  key may
+    also be a KeyTile, with i and j (cells, 1) columns of at most its rows.
+    `out`, a uint64 array of the broadcast shape, receives array results.
 
     All-scalar arguments take exact Python-int arithmetic; arrays wrap
     silently, so no call needs an error-state guard."""
     if not 0 <= tag < _TAG_CAP:
         raise DomainError(f"tag {tag} outside [0, {_TAG_CAP})")
-    if np.ndim(key) == 0 and np.ndim(i) == 0 and np.ndim(j) == 0:
+    tile = key if isinstance(key, KeyTile) else None
+    if tile is None and np.ndim(key) == 0 and np.ndim(i) == 0 and np.ndim(j) == 0:
         i, j = int(i), int(j)
         if not (0 <= i < _INDEX_CAP and 0 <= j < _INDEX_CAP):
             raise DomainError("lattice index exceeds 2**30 counter capacity")
@@ -90,13 +105,17 @@ def counter_hash(key, tag: int, i, j):
     c = (j << _U64(_INDEX_BITS)) | i
     if tag:
         c |= _U64(tag << 60)
-    if np.ndim(key):
+    t = None
+    if tile is not None:
+        kphi, t = tile.phi[: len(c)], tile.scratch[: len(c)]
+    elif np.ndim(key):
         kphi = np.asarray(key, dtype=np.uint64) * _PHI
     else:
         kphi = _U64((int(key) * _PHI_INT) & _MASK64)
-    z = c + kphi
-    # the field arrays are large: hash in place, one scratch buffer
-    t = np.empty_like(z)
+    # the field arrays are large: hash in place, with one scratch buffer
+    z = np.add(c, kphi, out=out)
+    if t is None:
+        t = np.empty_like(z)
     _mix64_inplace(z, t)
     _mix64_inplace(z, t)
     return z
@@ -104,8 +123,9 @@ def counter_hash(key, tag: int, i, j):
 
 def uniform_oc(key, tag: int, i, j, out=None):
     """Uniform variates on (0, 1], exactly representable, never zero.
-    `out`, a float64 array of the broadcast shape, receives array results."""
-    h = counter_hash(key, tag, i, j)
+    `out`, a float64 array of the broadcast shape, receives array results;
+    the hash runs in its memory, through a uint64 view."""
+    h = counter_hash(key, tag, i, j, None if out is None else out.view(np.uint64))
     if isinstance(h, np.integer):
         return np.float64(((int(h) >> 11) + 1) * 2.0 ** -53)
     h >>= _U64(11)

@@ -21,6 +21,7 @@ series, whose float64 error is set by the rounding of exp(-zeta).  Tests pin
 the branch joints and the accuracy over the whole supported range.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple
@@ -209,12 +210,13 @@ def airy_ai(x):
 
 def gaussian_tail_integral(u: float, v: float):
     """integral_{-inf}^{u} exp(-y^2/(4v)) dy = sqrt(pi v) erfc(-u/(2 sqrt(v)));
-    u may be an array."""
-    from scipy.special import erfc  # on first use: see NystromSystem._factor
+    u may be an array.  erfc is math.erfc elementwise: the limit law asks
+    for at most one value per quadrature node."""
     if not v > 0:
         raise ParameterError(f"variance parameter v must be positive, got {v}")
-    u = np.asarray(u, dtype=float)
-    out = np.sqrt(np.pi * v) * erfc(-u / (2.0 * np.sqrt(v)))
+    z = -np.asarray(u, dtype=float) / (2.0 * np.sqrt(v))
+    erfc = np.array([math.erfc(x) for x in z.ravel().tolist()]).reshape(z.shape)
+    out = np.sqrt(np.pi * v) * erfc
     return float(out) if out.ndim == 0 else out
 
 

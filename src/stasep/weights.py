@@ -25,6 +25,7 @@ from .rng import (
     TAG_FIELD,
     TAG_ZETA,
     CounterStream,
+    KeyTile,
     SeedSpec,
     sample_geom,
     stream_key,
@@ -161,6 +162,7 @@ class BatchWeights:
         else:
             self.zeta_plus = np.zeros(n, dtype=int)
             self.zeta_minus = np.zeros(n, dtype=int)
+        self._tile = None
 
     def row(self, j: int, imax: int) -> np.ndarray:
         return self.row_t(j, imax).T
@@ -170,14 +172,17 @@ class BatchWeights:
         i = np.arange(imax + 1)
         return self.cells(i, np.full_like(i, j))
 
-    def cells(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """w(i[k], j[k]) for every sample, shape (len(i), n_samples): -log u,
-        scaled in place on the border cells to mean * (-log u).  That equals
-        exp_from_uniform's -mean * log(u) bit for bit (both round
-        |mean * log u| and agree in sign), so unit-mean cells need no
-        multiply at all."""
-        w = np.empty((len(i), len(self.keys)))
-        uniform_oc(self.keys, TAG_FIELD, i[:, None], j[:, None], out=w)
+    def cells(self, i: np.ndarray, j: np.ndarray, out=None) -> np.ndarray:
+        """w(i[k], j[k]) for every sample, shape (len(i), n_samples), written
+        to `out` if given: -log u, scaled in place on the border cells to
+        mean * (-log u).  That equals exp_from_uniform's -mean * log(u) bit
+        for bit (both round |mean * log u| and agree in sign), so unit-mean
+        cells need no multiply at all.  The keys' KeyTile is kept for the
+        next call, and grown when a call brings more cells."""
+        if self._tile is None or self._tile.rows < len(i):
+            self._tile = KeyTile(self.keys, len(i))
+        w = np.empty((len(i), len(self.keys))) if out is None else out
+        uniform_oc(self._tile, TAG_FIELD, i[:, None], j[:, None], out=w)
         np.log(w, out=w)
         np.negative(w, out=w)
         border = np.flatnonzero((i == 0) | (j == 0))

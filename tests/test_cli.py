@@ -190,9 +190,9 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("module", ["stasep", "stasep.cli"])
 def test_import_leaves_scipy_stats_out(module):
-    # scipy.stats is imported inside the two checks that use it, and
-    # scipy.linalg and scipy.special on the limit law's first use; a fresh
-    # interpreter shows what importing the package itself loads
+    # scipy.stats is imported inside the two checks that use it, and the
+    # limit law needs no scipy at all; a fresh interpreter shows what
+    # importing the package itself loads
     src = str(Path(cli.__file__).resolve().parent.parent)
     heavy = ("scipy.stats", "scipy.linalg", "scipy.special")
     code = f"import sys, {module}; print(any(m in sys.modules for m in {heavy}))"
@@ -202,6 +202,32 @@ def test_import_leaves_scipy_stats_out(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        "from stasep.limitlaw import MultiPointSpec, limit_cdf\n"
+        "for taus in ((0.0,), (-1.0, 1.0), (-2.0, 0.0, 1.5)):\n"
+        "    limit_cdf(MultiPointSpec(taus, (0.0,) * len(taus)))\n",
+        "from stasep.cli import main\n"
+        "assert main(['limit-cdf', '--out', sys.argv[1]]) == 0\n",
+    ],
+    ids=["limit_cdf-m123", "cli-limit-cdf"],
+)
+def test_limit_law_loads_no_scipy(run, tmp_path):
+    # the limit law runs on numpy alone: after limit_cdf at m = 1, 2, 3, or a
+    # limit-cdf CLI run with its defaults, a fresh interpreter holds no scipy
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + run + _SCIPY_MODULES, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_validate_off_half(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from stasep.errors import ParameterError
 from stasep.rng import (
     CounterStream,
+    KeyTile,
     SeedSpec,
     exp_from_uniform,
     sample_geom,
@@ -107,3 +108,18 @@ def test_vectorized_key_and_out_buffer_bitwise():
     u = uniform_oc(keys[:, None], 0, np.arange(40)[None, :], 9, out=buf)
     assert u is buf
     assert np.array_equal(buf, uniform_oc(keys[:, None], 0, np.arange(40)[None, :], 9))
+
+
+def test_key_tile_matches_key_vector_bitwise():
+    # a KeyTile hashes as its key vector does, for any block up to its rows,
+    # and into out's memory when out is given
+    keys = stream_key(17, np.arange(6))
+    tile = KeyTile(keys, 8)
+    for rows in (1, 5, 8):
+        i = 3 * np.arange(rows)[:, None]
+        j = np.full((rows, 1), 2)
+        ref = uniform_oc(keys, 4, i, j)
+        assert np.array_equal(uniform_oc(tile, 4, i, j), ref)
+        buf = np.empty((rows, len(keys)))
+        assert uniform_oc(tile, 4, i, j, out=buf) is buf
+        assert np.array_equal(buf, ref)

@@ -116,6 +116,19 @@ def test_gaussian_tail_against_quadrature_oracle():
         assert gaussian_tail_integral(u, v) == pytest.approx(ref, abs=1e-10)
 
 
+def test_gaussian_tail_integral_matches_mpmath_erfc():
+    # u / (2 sqrt(v)) over [-30, 30]; 2 sqrt(v) is a power of two, so the
+    # erfc argument is z exactly.  Values below 1e-300 (z > 26) may lose
+    # digits to underflow
+    z = np.linspace(-30.0, 30.0, 601)
+    for v in (0.25, 1.0, 4.0):
+        got = gaussian_tail_integral(-2.0 * math.sqrt(v) * z, v)
+        with mp.workdps(30):
+            ref = [float(mp.sqrt(mp.pi * v) * mp.erfc(zk)) for zk in z]
+        for zk, g, r in zip(z, got, ref):
+            assert abs(g - r) <= 1e-14 * r + 1e-300, (zk, v, g, r)
+
+
 def test_legendre_rule_properties():
     r = legendre_rule(12, -1.5, 4.0)
     assert isinstance(r, QuadratureRule)

@@ -132,6 +132,22 @@ def test_all_weights_nonnegative():
             assert np.all(orc.row_weights(j, 50) >= 0.0)
 
 
+def test_cells_grow_the_key_tile_and_fill_out():
+    # BatchWeights keeps one KeyTile across calls and grows it for a longer
+    # block; every block, written to out or not, equals the scalar oracle
+    p = ModelParams.two_sided(0.4)
+    bw = BatchWeights(p, 9, range(3, 8))
+    oracles = [WeightOracle(p, SeedSpec(9, s)) for s in range(3, 8)]
+    for n in (2, 30, 7):
+        i = np.arange(n)
+        j = np.arange(n) % 3
+        ref = np.array([[o.weight_at(a, b) for o in oracles] for a, b in zip(i, j)])
+        assert np.array_equal(bw.cells(i, j), ref)
+        out = np.empty((n, 5))
+        assert bw.cells(i, j, out=out) is out
+        assert np.array_equal(out, ref)
+
+
 def test_transposed_rows_match_rows():
     # cells on any block of row j is row(j, imax)[:, i_lo:].T bit for bit, so
     # the border and origin means land on the right cells of every block
