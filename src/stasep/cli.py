@@ -40,8 +40,6 @@ from .experiments import (
     mc_vs_limit,
     offchar_gammas,
     pathwise_bridge_validate,
-    shift_argument_validate,
-    shift_coupling_validate,
     slow_decorrelation_negative_control,
     slow_decorrelation_validate,
 )
@@ -245,9 +243,6 @@ def _validate_battery(cfg):
     yield pathwise_bridge_validate(rho, 300 if quick else 10000, seed)
     yield kernel_dual_validate(seed)
     yield burke_increments_validate(rho, 3000 if quick else 10000, seed)
-    yield shift_argument_validate(
-        0.25, 0.25, [(2, 2)], np.arange(2.0, 11.0, 1.0), 10**5 if quick else 10**6, seed
-    )
     frame = ScalingFrame(T=2000.0, rho=rho, nu=0.5)
     n_sd = 500 if quick else 2000
     yield slow_decorrelation_validate(frame, 0.25, 0.25, 0.1, 0.25, n_sd, seed)
@@ -264,7 +259,6 @@ def _validate_battery(cfg):
         10**4 if quick else 2 * 10**4, seed,
         [[float(s)] for s in _s_grid(_DEFAULTS["compare"])],
     )
-    yield shift_coupling_validate(0.25, 0.25, (3, 3), 200, seed)
 
 
 def cmd_validate(cfg, outdir: Path) -> int:

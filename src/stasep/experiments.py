@@ -30,7 +30,7 @@ from .limitlaw import MultiPointSpec, khat_dual_check, limit_cdf
 from .lpp import _check_points, _row_reach, last_passage_batch
 from .scaling import ScalingFrame, characteristic_ratio, rescale_at_point, scale_dpp
 from .tasep import lpp_bridge_check
-from .weights import BatchWeights, ModelParams
+from .weights import ModelParams
 
 
 @dataclass
@@ -81,17 +81,16 @@ def _chunk_g(params, master_seed, lo, hi, points, batch):
 POOL_MIN_CELLS = 5 * 10**7
 
 
-def _batched_g(params, master_seed, n_samples, points, batch=512, sample_offset=0):
-    """G at `points` for samples sample_offset .. sample_offset + n_samples
-    in batches of `batch` lanes.  On Linux a sweep of at least POOL_MIN_CELLS
-    cells is split into contiguous index ranges, one per forked process, on up
-    to one process per CPU; samples are indexed, so the split changes no bit."""
-    lo, hi = sample_offset, sample_offset + n_samples
+def _batched_g(params, master_seed, n_samples, points, batch=512):
+    """G at `points` for samples 0 .. n_samples - 1 in batches of `batch`
+    lanes.  On Linux a sweep of at least POOL_MIN_CELLS cells is split into
+    contiguous index ranges, one per forked process, on up to one process per
+    CPU; samples are indexed, so the split changes no bit."""
     cells = n_samples * sum(r + 1 for r in _row_reach(_check_points(points)))
     workers = min(os.cpu_count() or 1, n_samples)
     if workers <= 1 or cells < POOL_MIN_CELLS or sys.platform != "linux":
-        return _chunk_g(params, master_seed, lo, hi, points, batch)
-    edges = np.linspace(lo, hi, workers + 1).astype(int)
+        return _chunk_g(params, master_seed, 0, n_samples, points, batch)
+    edges = np.linspace(0, n_samples, workers + 1).astype(int)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
         futures = [
             ex.submit(_chunk_g, params, master_seed, int(a), int(b), points, batch)
@@ -214,85 +213,6 @@ def mc_vs_limit(
             "mean_s": [float(v) for v in s_samples.mean(axis=0)],
             "var_s": [float(v) for v in s_samples.var(axis=0)],
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# shift argument
-
-
-def shift_coupling_validate(
-    a: float, b: float, point, n_samples: int, master_seed: int
-) -> ValidationReport:
-    """max |G+ - G - w00| over shared-randomness samples (zero in exact
-    arithmetic, since every up-right path passes the origin; the float
-    path sums differ by a few ulps, hence the threshold 1e-12)."""
-    t0 = time.time()
-    pts = [tuple(point)]
-    plus = ModelParams.shifted_plus(a, b)
-    gz = _batched_g(ModelParams.shifted_zero(a, b), master_seed, n_samples, pts)[:, 0]
-    gp = _batched_g(plus, master_seed, n_samples, pts)[:, 0]
-    w00 = BatchWeights(plus, master_seed, range(n_samples)).row(0, 0)[:, 0]
-    err = float(np.max(np.abs(gp - (gz + w00)), initial=0.0))
-    return ValidationReport(
-        name="shift-coupling", statistic=err, threshold=1e-12, passed=err <= 1e-12,
-        runtime_s=time.time() - t0, master_seed=master_seed,
-    )
-
-
-def shift_argument_validate(
-    a: float,
-    b: float,
-    points: Sequence[Tuple[int, int]],
-    u_grid: Sequence[float],
-    n_samples: int,
-    master_seed: int,
-    threshold: float = 0.02,
-) -> ValidationReport:
-    """Check P = (1 + (a+b)^-1 sum_k d/du_k) P+ pointwise on a diagonal
-    threshold grid (u, ..., u); the u_k-derivatives of P+ are estimated by
-    Gaussian-kernel smoothing with the usual n^(-1/5) bandwidth."""
-    if not a + b > 0:
-        raise ParameterError("shift argument requires a + b > 0")
-    t0 = time.time()
-    pts = [tuple(map(int, p)) for p in points]
-    m = len(pts)
-    gz = _batched_g(ModelParams.shifted_zero(a, b), master_seed, n_samples, pts)
-    gp = _batched_g(
-        ModelParams.shifted_plus(a, b), master_seed, n_samples, pts, sample_offset=n_samples
-    )
-    bandwidths = []
-    for k in range(m):
-        sd = float(np.std(gp[:, k]))
-        h = 1.06 * sd * n_samples ** (-1.0 / 5.0)
-        if not h > 0:
-            raise RefusalError("degenerate bandwidth")
-        bandwidths.append(h)
-    worst = 0.0
-    details = []
-    inv_r = 1.0 / (a + b)
-    for u in u_grid:
-        uvec = np.full(m, float(u))
-        p_zero = float(np.mean(np.all(gz <= uvec[None, :], axis=1)))
-        p_plus = float(np.mean(np.all(gp <= uvec[None, :], axis=1)))
-        deriv = 0.0
-        for k in range(m):
-            others = np.all(np.delete(gp, k, axis=1) <= np.delete(uvec, k)[None, :], axis=1)
-            z = (u - gp[:, k]) / bandwidths[k]
-            kern = np.exp(-0.5 * z * z) / (bandwidths[k] * math.sqrt(2.0 * math.pi))
-            deriv += float(np.mean(kern * others))
-        rhs = p_plus + inv_r * deriv
-        details.append({"u": float(u), "lhs": p_zero, "rhs": rhs})
-        worst = max(worst, abs(p_zero - rhs))
-    return ValidationReport(
-        name="shift-argument",
-        statistic=worst,
-        threshold=threshold,
-        passed=worst <= threshold,
-        runtime_s=time.time() - t0,
-        master_seed=master_seed,
-        config={"a": a, "b": b, "points": [list(p) for p in pts], "n_samples": n_samples},
-        extras={"grid": details},
     )
 
 

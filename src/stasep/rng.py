@@ -157,9 +157,6 @@ class SeedSpec:
     def key(self) -> np.uint64:
         return stream_key(self.master_seed, self.sample_index)
 
-    def child(self, sample_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, sample_index)
-
 
 class CounterStream:
     """Sequential draws from one lane.  Deterministic given the construction

@@ -13,6 +13,11 @@ The stationary model is the a = rho-1/2, b = 1/2-rho member of the shifted
 family, so border means are computed uniformly from (a, b).  All variants
 consume identical uniforms cell by cell, which makes cross-model couplings
 (G+ = G + w00, Bernoulli <= TwoSided) exact pathwise.
+
+Nothing else in the package builds ShiftedPlus or ShiftedZero (so
+origin_mean is nonzero only for them) or calls BatchWeights.row: they stay
+for the benchmark's mc-small workload, whose tracer also wraps row, and for
+the tests.
 """
 
 from dataclasses import dataclass, field

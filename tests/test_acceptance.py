@@ -20,8 +20,6 @@ from stasep.experiments import (
     mc_vs_limit,
     offchar_gammas,
     pathwise_bridge_validate,
-    shift_argument_validate,
-    shift_coupling_validate,
     slow_decorrelation_negative_control,
     slow_decorrelation_validate,
 )
@@ -274,41 +272,6 @@ def test_c07_mc_vs_limit(m1_table):
         if problems
         else f"KS(T=1000) {head.statistic:.4f}, trend {trend_ok}/3 {kss}, "
         f"m=2 max excess {joint.statistic:+.4f}",
-        t0,
-    )
-
-
-# -- 8 ----------------------------------------------------------------------
-
-
-def test_c08_shift_argument():
-    t0 = time.time()
-    problems = []
-    # m=1 at the t=3 point (3,3), nine u's, 1e6 samples
-    rep1 = shift_argument_validate(
-        0.25, 0.25, [(3, 3)], np.arange(6.0, 23.0, 2.0), 10**6, MASTER + 8, threshold=0.02
-    )
-    if not rep1.passed:
-        problems.append(f"m=1 sup {rep1.statistic:.4f} > 0.02")
-    # m=2 at (4,2), (2,4) with a diagonal sweep
-    rep2 = shift_argument_validate(
-        0.25, 0.25, [(4, 2), (2, 4)], np.arange(6.0, 21.0, 2.0), 10**6, MASTER + 9,
-        threshold=0.03,
-    )
-    if not rep2.passed:
-        problems.append(f"m=2 sup {rep2.statistic:.4f} > 0.03")
-    # pathwise coupling: exact in real arithmetic; float re-association only
-    coupling = shift_coupling_validate(0.25, 0.25, (3, 3), 300, MASTER + 10)
-    if not coupling.passed:
-        problems.append(f"coupling {coupling.statistic:.2e}")
-    _report(
-        8,
-        "shift argument",
-        not problems,
-        "; ".join(problems)
-        if problems
-        else f"sup m=1 {rep1.statistic:.4f}, m=2 {rep2.statistic:.4f}, "
-        f"coupling {coupling.statistic:.1e}",
         t0,
     )
 

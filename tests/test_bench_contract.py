@@ -50,3 +50,18 @@ def test_traced_limit_cdf_spans(monkeypatch):
     assert calls["limitlaw.def11_terms"] == 1
     assert calls["limitlaw.nystrom"] == 1
     assert calls["specfun.airy_ai"] == 2
+
+
+def test_each_workload_runs_one_cycle(monkeypatch):
+    # every benchmark workload, tiny: one full cycle of ops, each checked,
+    # then the whole-run checks; a name a workload uses that the package
+    # lost would fail here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    for name, cls in WORKLOADS.items():
+        wl = cls(5, tiny=True)
+        for k in range(wl.cycle):
+            inp = wl.op_input(k)
+            assert wl.check(k, inp, wl.run(inp)), (name, k)
+        assert wl.finish()[1] == [], name

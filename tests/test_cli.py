@@ -231,36 +231,35 @@ def test_limit_law_loads_no_scipy(run, tmp_path):
 
 
 def test_validate_off_half(tmp_path, capsys):
-    # the quick battery at rho = 0.3, every check placed from rho; the ninth
-    # compares Monte Carlo with the limit law F_0 at rho = 0.3
+    # the quick battery at rho = 0.3, every check placed from rho; the
+    # mc-vs-limit slot compares Monte Carlo with the limit law F_0 at rho = 0.3
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rho": 0.3}))
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert len(payload["reports"]) == 10
+    assert len(payload["reports"]) == 8
     assert all(r["passed"] for r in payload["reports"])
-    kpz = payload["reports"][8]
-    assert kpz["name"] == "mc-vs-limit"
+    [kpz] = [r for r in payload["reports"] if r["name"] == "mc-vs-limit"]
     assert kpz["config"]["rho"] == 0.3 and kpz["config"]["taus"] == [0.0]
     assert kpz["statistic"] <= 0.05
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10 and all(l.startswith("PASS ") for l in lines)
+    assert len(lines) == 8 and all(l.startswith("PASS ") for l in lines)
 
 
 def test_validate_kpz_slot_fails_on_swapped_border_means(monkeypatch):
     # mutation: the model at 1 - rho swaps the two border means, so the
     # validate slot comparing MC with F_0 must fail (sup gap near 1).  The
-    # other nine checks are replaced by placeholders so that only this slot
+    # other seven checks are replaced by placeholders so that only this slot
     # runs, with the battery's own arguments.
     for name in (
         "pathwise_bridge_validate", "kernel_dual_validate",
-        "burke_increments_validate", "shift_argument_validate", "slow_decorrelation_validate",
+        "burke_increments_validate", "slow_decorrelation_validate",
         "slow_decorrelation_negative_control", "gaussian_offchar_validate",
-        "shift_coupling_validate",
     ):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: None)
     real = experiments.ModelParams.two_sided
     monkeypatch.setattr(experiments.ModelParams, "two_sided", lambda rho: real(1.0 - rho))
-    rep = list(cli._validate_battery(dict(cli._DEFAULTS["validate"], rho=0.3)))[8]
-    assert rep.name == "mc-vs-limit" and rep.config["rho"] == 0.3
+    reports = cli._validate_battery(dict(cli._DEFAULTS["validate"], rho=0.3))
+    [rep] = [r for r in reports if r is not None and r.name == "mc-vs-limit"]
+    assert rep.config["rho"] == 0.3
     assert not rep.passed and rep.statistic > 0.05

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stasep import experiments
-from stasep.errors import ParameterError, RefusalError
+from stasep.errors import RefusalError
 from stasep.experiments import (
     _batched_g,
     EmpiricalCDF,
@@ -20,8 +20,6 @@ from stasep.experiments import (
     mc_vs_limit,
     offchar_gammas,
     point_variance,
-    shift_argument_validate,
-    shift_coupling_validate,
     slow_decorrelation_validate,
 )
 from stasep.scaling import ScalingFrame, characteristic_ratio
@@ -75,20 +73,6 @@ def test_mc_vs_limit_centres_on_lattice_mean():
     assert abs(rep.extras["mean_s"][0]) < 0.05
 
 
-def test_shift_argument_small():
-    rep = shift_argument_validate(
-        0.25, 0.25, [(2, 2)], np.arange(2.0, 11.0, 2.0), 50000, 3, threshold=0.03
-    )
-    assert rep.passed, rep.extras
-    with pytest.raises(ParameterError):
-        shift_argument_validate(0.25, -0.25, [(2, 2)], [1.0], 1000, 1)
-
-
-def test_shift_coupling_tolerance():
-    rep = shift_coupling_validate(0.3, 0.1, (4, 3), 100, 11)
-    assert rep.statistic <= 1e-12  # identity exact up to float re-association
-
-
 def test_slow_decorrelation_shapes():
     frame = ScalingFrame(T=500.0, rho=0.5, nu=0.5)
     rep = slow_decorrelation_validate(frame, 0.25, 0.25, 0.1, 0.25, 400, 5, threshold=0.5)
@@ -133,12 +117,12 @@ def inline_pool(monkeypatch):
 @pytest.mark.parametrize(
     "params, n, pts",
     [
-        # c08's m = 1 call (1e6 samples x 16 cells) and shift-coupling's
-        # (200 x 16 cells) sweep fewer cells than a pool pays for
+        # 1e6 samples x 16 cells and 200 x 16 cells: both sweep fewer
+        # cells than a pool pays for
         (ModelParams.shifted_zero(0.25, 0.25), 10**6, [(3, 3)]),
         (ModelParams.shifted_plus(0.25, 0.25), 200, [(3, 3)]),
     ],
-    ids=["c08", "shift-coupling"],
+    ids=["1e6x16-cells", "200x16-cells"],
 )
 def test_small_sweep_starts_no_pool(inline_pool, params, n, pts):
     assert np.array_equal(_batched_g(params, 5, n, pts), _chunk_reference(params, 5, n, pts, 512))

@@ -13,7 +13,7 @@ from stasep.lpp import (
     last_passage_batch,
 )
 from stasep.rng import SeedSpec
-from stasep.weights import ModelKind, ModelParams, WeightOracle
+from stasep.weights import BatchWeights, ModelKind, ModelParams, WeightOracle
 
 
 class ConstantField:
@@ -238,6 +238,19 @@ def test_bernoulli_domain_coupled_below_two_sided():
     g_bern = last_passage_batch(ModelParams.bernoulli_domain(rho), 99, range(200), pts)
     assert np.all(g_bern <= g_two + 1e-12)
     assert np.any(g_bern < g_two)  # zetas are nonzero in some samples
+
+
+@pytest.mark.parametrize("pts", [[(3, 3)], [(4, 2), (2, 4)]], ids=["3x3", "4x2-2x4"])
+def test_shifted_plus_is_shifted_zero_plus_origin(pts):
+    # every up-right path from the origin collects w00, and both models draw
+    # the same uniforms cell by cell, so G+ = G0 + w00 pathwise; the float
+    # path sums may differ by a few ulps
+    plus, zero = ModelParams.shifted_plus(0.25, 0.25), ModelParams.shifted_zero(0.25, 0.25)
+    g_plus = last_passage_batch(plus, 11, range(300), pts)
+    g_zero = last_passage_batch(zero, 11, range(300), pts)
+    w00 = BatchWeights(plus, 11, range(300)).cells(np.array([0]), np.array([0]))[0]
+    assert np.all(w00 > 0)
+    assert np.max(np.abs(g_plus - g_zero - w00[:, None])) <= 1e-12
 
 
 def test_batch_layouts_agree_bitwise():

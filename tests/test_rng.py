@@ -18,8 +18,7 @@ def test_seedspec_validation():
         SeedSpec(-1, 0)
     with pytest.raises(ParameterError):
         SeedSpec(0, 2**64)
-    s = SeedSpec(2**64 - 1, 17)
-    assert s.child(3).sample_index == 3
+    assert SeedSpec(2**64 - 1, 17).sample_index == 17
 
 
 def test_uniform_open_closed_range():
