@@ -37,7 +37,7 @@ from .lpp import (
     last_passage,
     last_passage_batch,
 )
-from .rng import CounterStream, SeedSpec, sample_geom
+from .rng import SeedSpec
 from .scaling import (
     ScalingFrame,
     characteristic_ratio,

@@ -578,7 +578,6 @@ def limit_cdf(spec: MultiPointSpec, quad: QuadratureConfig = QuadratureConfig())
         diagnostics={
             "n": base.n,
             "big_lambda": quad.big_lambda,
-            "systems_built": 1,
             "lengths": [float(v) for v in base.lengths],
             "lam_len": base.lam_len,
             "nodes": spec.m * base.n,

@@ -6,8 +6,10 @@ avalanche hash applied to a packed counter, which gives O(1) random access to
 any lattice cell: weight fields can be materialized row by row, in parallel,
 or in any traversal order, and always come out bit-identical.
 
-Tags partition the 64-bit counter space into independent lanes (bulk weight
-field, boundary geometrics, TASEP clocks, initial occupations, ...).
+Tags partition the 64-bit counter space into independent lanes: the LPP
+weight field (TAG_FIELD), the Bernoulli-domain boundary geometrics
+(TAG_ZETA, one counter per geometric), the TASEP jump clocks (TAG_OMEGA) and
+the initial occupations (TAG_INIT).
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,6 @@ TAG_FIELD = 0        # LPP weight field uniforms
 TAG_ZETA = 1         # Bernoulli-domain boundary geometrics
 TAG_OMEGA = 2        # TASEP jump clocks
 TAG_INIT = 3         # initial occupation variables
-TAG_SCRATCH = 7      # sequential CounterStream draws
 
 
 def _mix64_int(z: int) -> int:
@@ -134,12 +135,6 @@ def uniform_oc(key, tag: int, i, j, out=None):
     return np.multiply(h.view(np.int64), 2.0 ** -53, out=out)
 
 
-def exp_from_uniform(u, mean):
-    """Inverse-CDF exponential with the stated EXPECTATION `mean`.
-    u = 1 maps to exactly 0."""
-    return -mean * np.log(u)
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """Identifies one Monte Carlo sample's randomness."""
@@ -156,37 +151,3 @@ class SeedSpec:
     @property
     def key(self) -> np.uint64:
         return stream_key(self.master_seed, self.sample_index)
-
-
-class CounterStream:
-    """Sequential draws from one lane.  Deterministic given the construction
-    point; used for ad-hoc scalar sampling (the Bernoulli-domain boundary
-    geometrics).  Lattice fields never go through this class."""
-
-    def __init__(self, seed: SeedSpec, tag: int = TAG_SCRATCH, lane: int = 0):
-        self._key = seed.key
-        self._tag = tag
-        self._lane = lane
-        self._n = 0
-
-    def uniform(self) -> float:
-        u = float(uniform_oc(self._key, self._tag, self._n, self._lane))
-        self._n += 1
-        return u
-
-    def uniforms(self, n: int) -> np.ndarray:
-        idx = np.arange(self._n, self._n + n)
-        self._n += n
-        return uniform_oc(self._key, self._tag, idx, self._lane)
-
-
-def sample_geom(stream: CounterStream, q: float) -> int:
-    """One draw with P(X = k) = (1-q) q^k, k >= 0.  The Bernoulli-domain
-    zetas are the cases q = 1-rho and q = rho."""
-    if not 0 <= q < 1:
-        raise ParameterError(f"geometric parameter must be in [0,1), got {q}")
-    if q == 0.0:
-        stream.uniform()  # keep the stream position predictable
-        return 0
-    u = stream.uniform()
-    return int(np.floor(np.log(u) / np.log(q)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, RefusalError, WindowError
 from .lpp import _sweep
-from .rng import TAG_INIT, TAG_OMEGA, SeedSpec, exp_from_uniform, uniform_oc
+from .rng import TAG_INIT, TAG_OMEGA, SeedSpec, uniform_oc
 
 _OFF = 1 << 20  # recenters signed lattice/site indices into counter range
 _CLOCK_BLOCK_CELLS = 1 << 12  # clocks drawn per hash call in evolve
@@ -43,14 +43,14 @@ class WaitingTimes:
 
     def omega_row(self, j: int, i_lo: int, i_hi: int) -> np.ndarray:
         idx = np.arange(i_lo + _OFF, i_hi + 1 + _OFF)
-        return exp_from_uniform(uniform_oc(self._key, TAG_OMEGA, idx, j + _OFF), 1.0)
+        return -np.log(uniform_oc(self._key, TAG_OMEGA, idx, j + _OFF))
 
     def omega_rows(self, js: np.ndarray, i_los: np.ndarray, width: int) -> np.ndarray:
         """Row k is omega_row(js[k], i_los[k], i_los[k] + width - 1), bit for
         bit: the clocks are a pure function of the cell."""
         idx = np.asarray(i_los)[:, None] + np.arange(_OFF, width + _OFF)[None, :]
         j = np.asarray(js)[:, None] + _OFF
-        return exp_from_uniform(uniform_oc(self._key, TAG_OMEGA, idx, j), 1.0)
+        return -np.log(uniform_oc(self._key, TAG_OMEGA, idx, j))
 
 
 def bernoulli_occupation(seed: SeedSpec, lo: int, hi: int, rho: float) -> np.ndarray:

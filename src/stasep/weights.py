@@ -9,6 +9,11 @@ only in the law of the first row, first column, and origin:
   BernoulliDomain     TwoSidedStationary with the first zeta_plus bottom and
                       zeta_minus left weights forced to zero
 
+zeta_plus ~ Geom(1-rho) and zeta_minus ~ Geom(rho), P(zeta = k) = (1-q) q^k,
+are floor(log u / log q) for the uniform u at counter (0, 0), respectively
+(0, 1), of the sample's TAG_ZETA lane: one hash per geometric, drawn for a
+whole batch by one array call each.
+
 The stationary model is the a = rho-1/2, b = 1/2-rho member of the shifted
 family, so border means are computed uniformly from (a, b).  All variants
 consume identical uniforms cell by cell, which makes cross-model couplings
@@ -26,16 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import (
-    TAG_FIELD,
-    TAG_ZETA,
-    CounterStream,
-    KeyTile,
-    SeedSpec,
-    sample_geom,
-    stream_key,
-    uniform_oc,
-)
+from .rng import TAG_FIELD, TAG_ZETA, KeyTile, SeedSpec, stream_key, uniform_oc
 
 
 class ModelKind(Enum):
@@ -60,6 +56,9 @@ class ModelParams:
         if k in _STATIONARY_KINDS:
             if not 0.0 < self.rho < 1.0:
                 raise ParameterError(f"rho must be in (0,1), got {self.rho}")
+            if k is ModelKind.BernoulliDomain and 1.0 - self.rho == 1.0:
+                # zeta_plus ~ Geom(1 - rho) needs log(1 - rho) < 0
+                raise ParameterError(f"1 - rho rounds to 1 at rho = {self.rho}")
             # a+b = 0 boundary of the shifted family
             object.__setattr__(self, "a", self.rho - 0.5)
             object.__setattr__(self, "b", 0.5 - self.rho)
@@ -98,13 +97,6 @@ class ModelParams:
         if self.kind is ModelKind.ShiftedPlus:
             return 1.0 / (self.a + self.b)
         return 0.0
-
-
-def _sample_zetas(params: ModelParams, seed: SeedSpec):
-    """zeta_plus ~ Geom(1-rho), zeta_minus ~ Geom(rho), independent."""
-    zp = sample_geom(CounterStream(seed, TAG_ZETA, lane=0), 1.0 - params.rho)
-    zm = sample_geom(CounterStream(seed, TAG_ZETA, lane=1), params.rho)
-    return zp, zm
 
 
 @dataclass(frozen=True)
@@ -154,19 +146,21 @@ class BatchWeights:
 
     def __init__(self, params: ModelParams, master_seed: int, sample_indices):
         self.params = params
+        # SeedSpec refuses a seed or index outside [0, 2**64), which the uint64
+        # cast would wrap; Python's min/max stay exact where numpy rounds
+        ends = (min(sample_indices), max(sample_indices)) if len(sample_indices) else (0,)
+        for s in ends:
+            SeedSpec(master_seed, s)
         self.sample_indices = np.asarray(sample_indices, dtype=np.uint64)
-        self.keys = np.asarray(stream_key(master_seed, self.sample_indices), dtype=np.uint64)
-        n = len(self.keys)
+        self.keys = stream_key(master_seed, self.sample_indices)
         if params.kind is ModelKind.BernoulliDomain:
-            zs = [
-                _sample_zetas(params, SeedSpec(master_seed, int(s)))
-                for s in self.sample_indices
-            ]
-            self.zeta_plus = np.array([z[0] for z in zs])
-            self.zeta_minus = np.array([z[1] for z in zs])
+            self.zeta_plus, self.zeta_minus = (
+                np.floor(np.log(uniform_oc(self.keys, TAG_ZETA, 0, lane)) / np.log(q))
+                .astype(np.int64)
+                for lane, q in enumerate((1.0 - params.rho, params.rho))
+            )
         else:
-            self.zeta_plus = np.zeros(n, dtype=int)
-            self.zeta_minus = np.zeros(n, dtype=int)
+            self.zeta_plus, self.zeta_minus = np.zeros((2, len(self.keys)), dtype=np.int64)
         self._tile = None
 
     def row(self, j: int, imax: int) -> np.ndarray:
@@ -180,10 +174,10 @@ class BatchWeights:
     def cells(self, i: np.ndarray, j: np.ndarray, out=None) -> np.ndarray:
         """w(i[k], j[k]) for every sample, shape (len(i), n_samples), written
         to `out` if given: -log u, scaled in place on the border cells to
-        mean * (-log u).  That equals exp_from_uniform's -mean * log(u) bit
-        for bit (both round |mean * log u| and agree in sign), so unit-mean
-        cells need no multiply at all.  The keys' KeyTile is kept for the
-        next call, and grown when a call brings more cells."""
+        mean * (-log u).  That equals -mean * log(u) bit for bit (both round
+        |mean * log u| and agree in sign), so unit-mean cells need no
+        multiply at all.  The keys' KeyTile is kept for the next call, and
+        grown when a call brings more cells."""
         if self._tile is None or self._tile.rows < len(i):
             self._tile = KeyTile(self.keys, len(i))
         w = np.empty((len(i), len(self.keys))) if out is None else out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stasep.errors import DomainError, RefusalError
+from stasep.errors import DomainError, ParameterError, RefusalError
 from stasep.lpp import (
     BRUTE_FORCE_CAP,
     HASH_BLOCK_CELLS,
@@ -271,3 +271,15 @@ def test_batch_layouts_agree_bitwise():
         for k in (0, 133, n - 1):
             ref = last_passage(WeightOracle(p, SeedSpec(77, k)), pts).values
             assert [big[k, c] for c in range(4)] == [ref[tuple(q)] for q in pts]
+
+
+@pytest.mark.parametrize("params", [ModelParams.two_sided(0.5), ModelParams.bernoulli_domain(0.5)],
+                         ids=["two-sided", "bernoulli-domain"])
+def test_batch_refuses_out_of_range_seed_and_index(params):
+    # a seed or sample index outside [0, 2**64) is refused, not wrapped onto
+    # the samples of another seed or index
+    for seed, indices in ((-1, range(3)), (2**64, range(3)), (5, [0, -1, 2])):
+        with pytest.raises(ParameterError):
+            last_passage_batch(params, seed, indices, [(2, 2)])
+    g = last_passage_batch(params, 2**64 - 1, [0, 2**64 - 1], [(2, 2)])
+    assert g.shape == (2, 1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,13 +55,11 @@ def test_bulk_and_border_means():
 
 
 def test_shifted_plus_origin_mean():
-    # w00 ~ Exp(mean 1/(a+b)) = 2 at a=b=0.25
-    vals = np.array(
-        [
-            WeightOracle(ModelParams.shifted_plus(0.25, 0.25), SeedSpec(4, i)).weight_at(0, 0)
-            for i in range(10**5)
-        ]
-    )
+    # w00 ~ Exp(mean 1/(a+b)) = 2 at a=b=0.25, samples 0..1e5-1 of seed 4
+    p = ModelParams.shifted_plus(0.25, 0.25)
+    vals = BatchWeights(p, 4, range(10**5)).cells(np.array([0]), np.array([0]))[0]
+    for i in (0, 1, 77_777, 10**5 - 1):
+        assert vals[i] == WeightOracle(p, SeedSpec(4, i)).weight_at(0, 0)
     assert abs(vals.mean() - 2.0) < 0.03
 
 
@@ -99,16 +99,56 @@ def test_bernoulli_domain_zeroing_and_coupling():
 
 
 def test_zeta_marginals():
-    rho = 0.3
-    zps = []
-    zms = []
-    for i in range(20000):
-        orc = WeightOracle(ModelParams.bernoulli_domain(rho), SeedSpec(55, i))
-        zps.append(orc.zeta_plus)
-        zms.append(orc.zeta_minus)
+    p = ModelParams.bernoulli_domain(0.3)
+    bw = BatchWeights(p, 55, range(20000))
+    zps, zms = bw.zeta_plus, bw.zeta_minus
+    for i in (0, 9, 19999):
+        orc = WeightOracle(p, SeedSpec(55, i))
+        assert (orc.zeta_plus, orc.zeta_minus) == (zps[i], zms[i])
     # zeta_plus ~ Geom(1-rho): mean (1-rho)/rho; zeta_minus ~ Geom(rho)
     assert abs(np.mean(zps) - 0.7 / 0.3) < 0.06
     assert abs(np.mean(zms) - 0.3 / 0.7) < 0.03
+
+
+def test_zeta_geometric_law():
+    # P(zeta = k) = (1-q) q^k: zeta_plus has q = 1-rho, zeta_minus q = rho
+    bw = BatchWeights(ModelParams.bernoulli_domain(0.5), 5, range(10**5))
+    for draws in (bw.zeta_plus, bw.zeta_minus):
+        assert abs(draws.mean() - 1.0) < 0.02  # mean q/(1-q) = 1
+        assert abs(np.mean(draws == 0) - 0.5) < 0.005
+    # zeta_plus ~ Geom(1-rho) at rho=0.3: mean 0.7/0.3
+    bw = BatchWeights(ModelParams.bernoulli_domain(0.3), 6, range(10**5))
+    assert abs(bw.zeta_plus.mean() - 0.7 / 0.3) < 0.05
+    # 1 - rho rounds to 1: zeta_plus would have log q = 0
+    with pytest.raises(ParameterError):
+        BatchWeights(ModelParams.bernoulli_domain(1e-17), 5, range(3))
+
+
+# SHA-256 of the little-endian int64 bytes of zeta_plus then zeta_minus for
+# samples 0..1999, with their sums, recorded before the zetas were drawn for
+# the whole batch at once: the batch draw must keep every value
+_ZETA_PINS = [
+    # (rho, master_seed, sum zeta_plus, sum zeta_minus, digest)
+    (0.5, 1, 1989, 1923, "24248dae06d1bf3bef769a06513c41a7daddff9566eb0175350d65f6dcc3cd00"),
+    (0.3, 2**63 + 7, 4599, 890, "c5b925fc0717e697d69d6578aa2ab7f10e5a164b55f112fb69742d437f29841f"),
+    (0.05, 2**64 - 1, 39052, 108, "f881e39873f058d137acd0e80d7ea74a844dd4ae0294c8df2762b17adb4ef21c"),
+    (0.999, 42, 3, 2077110, "4c9b5bddb6ea43486640dbc5e65e8f2bb8d3059ec7a512d68f50676db46c822d"),
+]
+
+
+@pytest.mark.parametrize(
+    "rho, seed, sum_plus, sum_minus, digest", _ZETA_PINS, ids=[f"{r}-{s}" for r, s, *_ in _ZETA_PINS]
+)
+def test_zetas_pinned(rho, seed, sum_plus, sum_minus, digest):
+    p = ModelParams.bernoulli_domain(rho)
+    bw = BatchWeights(p, seed, range(2000))
+    zp, zm = bw.zeta_plus.astype("<i8"), bw.zeta_minus.astype("<i8")
+    assert (int(zp.sum()), int(zm.sum())) == (sum_plus, sum_minus)
+    assert hashlib.sha256(zp.tobytes() + zm.tobytes()).hexdigest() == digest
+    # a WeightOracle is a one-lane batch: its zetas are its lane's
+    for i in (0, 1234, 1999):
+        orc = WeightOracle(p, SeedSpec(seed, i))
+        assert (orc.zeta_plus, orc.zeta_minus) == (zp[i], zm[i])
 
 
 def test_batch_matches_oracle_rows():
