@@ -15,11 +15,9 @@ with the limit-law stack is its public evaluator.
 """
 
 import math
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -90,6 +88,10 @@ def _batched_g(params, master_seed, n_samples, points, batch=512):
     workers = min(os.cpu_count() or 1, n_samples)
     if workers <= 1 or cells < POOL_MIN_CELLS or sys.platform != "linux":
         return _chunk_g(params, master_seed, 0, n_samples, points, batch)
+    # deferred: a run that starts no pool loads neither module
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     edges = np.linspace(0, n_samples, workers + 1).astype(int)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
         futures = [

@@ -27,10 +27,12 @@ The lambda integrals of the kernel use one Airy table per distinct block
 term of Phi reuses.  B(lambda), B(0), Psi_j and the third term of Phi
 are one-dimensional tail integrals T(v) = int_v^inf e^{-a u} Ai(u + b) du,
 each tabulated over a whole point set on one set of Airy arguments
-(_tail_plan).  def11_terms evaluates Ai at those sets, R's rule and the
-column Ai(x + tau_i^2) in one airy_ai call per system and computes R, B,
-Psi_j and Phi_i from its slices; airy_ai is elementwise, so the values are
-those of separate calls bit for bit.
+(_tail_plan); Psi_j and Phi_j share one plan on nodes[j], and B(0)'s
+one-point plan is R's rule.  NystromSystem evaluates Ai at the block tables,
+those sets, R's rule and the column Ai(x + tau_i^2) in one airy_ai call per
+system, and def11_terms computes R, B, Psi_j and Phi_i from the slices;
+airy_ai is elementwise, so the values are those of separate calls bit for
+bit.
 
 sum_k d/ds_k is the derivative along (1, ..., 1), taken in closed form from
 the one system at s.  Under a uniform shift of the thresholds the nodes move
@@ -160,41 +162,53 @@ _SEG_WIDTH, _SEG_NODES = 0.5, 8
 _SEG_RULE = legendre_rule(_SEG_NODES, 0.0, 1.0)
 
 
-def _tail_plan(a: float, b: float, v: np.ndarray, target: float = TAIL_EXPONENT):
-    """The Airy arguments u + b of T(v_k) = int_{v_k}^inf e^{-a u} Ai(u + b) du
-    at every point of the 1-D array v, and `finish`, which turns Ai at those
-    arguments into T in v's order (unsorted and repeated points allowed).
+def _tail_plan(rates, b: float, v: np.ndarray, target: float = TAIL_EXPONENT):
+    """The Airy arguments u + b of T_a(v_k) = int_{v_k}^inf e^{-a u} Ai(u + b) du
+    for every rate a in `rates` at every point of the 1-D array v, and
+    `finish`, which turns Ai at those arguments into one T_a per rate, each in
+    v's order (unsorted and repeated points allowed).
 
     The points are sorted once; short Gauss-Legendre panels integrate each
     gap between neighbours, and a cumulative sum from the right adds them
-    onto one tail integral beyond the largest point.  That tail is truncated
-    where e^{a v_k} times the dropped mass is certified below e^{-target}
-    for every k.
+    onto one tail integral beyond the largest point.  The rates share the
+    panels' arguments.  Each rate has its own tail, truncated where e^{a v_k}
+    times the dropped mass is certified below e^{-target} for every k; rates
+    whose tails come out as the same rule share its arguments too.
     """
     order = np.argsort(v, kind="stable")
     vs = v[order]
     top = float(vs[-1])
-    rate = max(-a, 0.0)
-    tail = _airy_rule(top, top + b, rate, 1, target + rate * (top - float(vs[0])))
     gaps = np.diff(vs)
     panels = np.maximum(np.ceil(gaps / _SEG_WIDTH), 1.0).astype(int)
     first = np.cumsum(panels) - panels
     width = np.repeat(gaps / panels, panels)
     left = np.repeat(vs[:-1], panels) + (np.arange(width.size) - np.repeat(first, panels)) * width
-    u = np.concatenate([(left[:, None] + width[:, None] * _SEG_RULE.nodes[None, :]).ravel(), tail.nodes])
+    u = [(left[:, None] + width[:, None] * _SEG_RULE.nodes[None, :]).ravel()]
+    starts, tails = {}, []
+    for a in rates:
+        rate = max(-a, 0.0)
+        tail = _airy_rule(top, top + b, rate, 1, target + rate * (top - float(vs[0])))
+        if tail.interval not in starts:  # one interval, one composite rule
+            starts[tail.interval] = sum(x.size for x in u)
+            u.append(tail.nodes)
+        tails.append((tail, starts[tail.interval]))
+    n_gap = width.size * _SEG_NODES
 
-    def finish(ai: np.ndarray) -> np.ndarray:
-        f = np.exp(-a * u) * ai
-        pieces = np.empty(vs.size)
-        pieces[-1] = np.dot(tail.weights, f[width.size * _SEG_NODES:])
-        if vs.size > 1:
-            per_panel = width * (f[: width.size * _SEG_NODES].reshape(-1, _SEG_NODES) @ _SEG_RULE.weights)
-            pieces[:-1] = np.add.reduceat(per_panel, first)
-        out = np.empty(vs.size)
-        out[order] = np.cumsum(pieces[::-1])[::-1]
+    def finish(ai: np.ndarray):
+        out = []
+        for a, (tail, start) in zip(rates, tails):
+            pieces = np.empty(vs.size)
+            pieces[-1] = np.dot(tail.weights, np.exp(-a * tail.nodes) * ai[start : start + tail.nodes.size])
+            if vs.size > 1:
+                f = np.exp(-a * u[0]) * ai[:n_gap]
+                per_panel = width * (f.reshape(-1, _SEG_NODES) @ _SEG_RULE.weights)
+                pieces[:-1] = np.add.reduceat(per_panel, first)
+            t = np.empty(vs.size)
+            t[order] = np.cumsum(pieces[::-1])[::-1]
+            out.append(t)
         return out
 
-    return u + b, finish
+    return np.concatenate(u) + b, finish
 
 
 N_CAP = 512  # the most nodes per threshold interval limit_cdf will use
@@ -234,9 +248,10 @@ def _node_count(spec: MultiPointSpec, floor: int, l_max: float) -> int:
 
 
 class NystromSystem:
-    """Quadrature grids, the balanced block kernel matrix, and Definition-1.1
-    ingredient tables for one (spec, config) pair; quad.n is a floor on the
-    nodes per interval, and `n` holds the count _node_count chose."""
+    """Quadrature grids, the balanced block kernel matrix, and the Airy values
+    and plans (def11_ai, def11_plans) that def11_terms finishes into the
+    Definition-1.1 tables, for one (spec, config) pair; quad.n is a floor on
+    the nodes per interval, and `n` holds the count _node_count chose."""
 
     def __init__(self, spec: MultiPointSpec, quad: QuadratureConfig):
         self.spec = spec
@@ -277,16 +292,22 @@ class NystromSystem:
         self.lam_w = lam_rule.weights
         self.lam_len = lam_rule.interval[1]
 
-        # Ai(x_p^(i) + tau_i^2 + lambda_l) for each block index i, evaluated
-        # once per distinct (tau_i^2, s_i, length_i): equal keys give equal
-        # nodes, so a shared table is the one a separate call would give
-        tables = {}
-        self.ai_tables = []
-        for i in range(m):
-            key = (taus[i] ** 2, esses[i], lengths[i])
-            if key not in tables:
-                tables[key] = airy_ai(self.nodes[i][:, None] + taus[i] ** 2 + self.lam[None, :])
-            self.ai_tables.append(tables[key])
+        # Every Airy value of the point comes from one airy_ai call: a table
+        # Ai(x_p^(i) + tau_i^2 + lambda_l) per distinct (tau_i^2, s_i,
+        # length_i), since equal keys give equal nodes, then the arguments of
+        # _def11_plans.  airy_ai is elementwise, so each slice holds what a
+        # call of its own gives, bit for bit.
+        keys = [(taus[i] ** 2, esses[i], lengths[i]) for i in range(m)]
+        distinct = list(dict.fromkeys(keys))
+        table_args = [
+            self.nodes[i][:, None] + taus[i] ** 2 + self.lam[None, :] for i in map(keys.index, distinct)
+        ]
+        def11_args, self.def11_plans = _def11_plans(spec, self.nodes, self.lam)
+        args = [a.ravel() for a in table_args] + def11_args
+        ai = np.split(airy_ai(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
+        tables = [v.reshape(a.shape) for v, a in zip(ai, table_args)]
+        self.ai_tables = [tables[distinct.index(k)] for k in keys]
+        self.def11_ai = ai[len(tables) :]
 
         blocks = [[None] * m for _ in range(m)]
         for i in range(m):
@@ -470,13 +491,30 @@ class Def11Terms:
     ai_shift: np.ndarray  # (m, n) table of Ai(x + tau_i^2) on the system nodes
 
 
+def _def11_plans(spec: MultiPointSpec, nodes, lam: np.ndarray):
+    """The Airy arguments of Definition 1.1 for a system with these nodes and
+    lambda grid, and the plans def11_terms finishes their values with: B's
+    tail plan on s1 + lambda, R's rule, one shared Psi_j/Phi_j tail plan on
+    each nodes[j] (rates tau_j and -tau_j, b = tau_j^2), then the columns
+    x + tau_i^2.  B(0)'s tail rule is R's rule, so it needs no arguments."""
+    t1, s1 = spec.taus[0], spec.esses[0]
+    target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
+    b_args, b_tail = _tail_plan((t1,), t1**2, s1 + lam, target)
+    r_rule = _airy_rule(s1, s1 + t1**2, max(-t1, 0.0), 1, target)
+    pairs = [_tail_plan((t, -t), t**2, x) for t, x in zip(spec.taus, nodes)]
+    shift_args = [x + t**2 for x, t in zip(nodes, spec.taus)]
+    args = [b_args, r_rule.nodes + t1**2, *(a for a, _ in pairs), *shift_args]
+    return args, (b_tail, r_rule, [tail for _, tail in pairs])
+
+
 def def11_terms(sysm: NystromSystem) -> Def11Terms:
     """R, Psi_j, Phi_i and Ai(x + tau_i^2) tabulated at the nodes of sysm, and
-    B(0), from one airy_ai call over all their arguments.  With
+    B(0), finished from the Airy values the system stored for them.  With
     c = e^{-2/3 tau_1^3} and T the tail integral of _tail_plan:
 
         B(l) = int_{s1}^inf e^{-tau1 y} Ai(y + tau1^2 + l) dy = e^{tau1 l} T(s1 + l),
-            a = tau1, b = tau1^2, on the lambda grid and at l = 0;
+            a = tau1, b = tau1^2, on the lambda grid;
+        B(0) = T(s1), whose one-point plan is R's rule alone;
         R = s1 + c int_{s1}^inf (u - s1) Ai(u + tau1^2) e^{-tau1 u} du
             (the double integral collapsed along u = x + y);
         Psi_j(y) = e^{2/3 tau_j^3 + tau_j y} - int_0^inf Ai(x + y + tau_j^2) e^{-tau_j x} dx,
@@ -487,43 +525,35 @@ def def11_terms(sysm: NystromSystem) -> Def11Terms:
             G = gaussian_tail_integral, the last integral being e^{-tau_i x} T(x),
             a = -tau_i, b = tau_i^2.
 
-    Phi's first term reuses the system's Airy tables on the lambda grid."""
+    Psi_j and Phi_j share one tail plan; Phi's first term reuses the
+    system's Airy tables on the lambda grid."""
     spec = sysm.spec
     m = spec.m
     taus = spec.taus
     t1, s1 = taus[0], spec.esses[0]
     c = math.exp(-(2.0 / 3.0) * t1**3)
-    target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
-    b_args, b_tail = _tail_plan(t1, t1**2, s1 + sysm.lam, target)
-    b0_args, b0_tail = _tail_plan(t1, t1**2, s1 + np.zeros(1), target)
-    r_rule = _airy_rule(s1, s1 + t1**2, max(-t1, 0.0), 1, target)
-    u = r_rule.nodes
-    psi_plans = [_tail_plan(t, t**2, y) for t, y in zip(taus, sysm.nodes)]
-    phi_plans = [_tail_plan(-t, t**2, x) for t, x in zip(taus, sysm.nodes)]
-    shift_args = [x + t**2 for x, t in zip(sysm.nodes, taus)]
-    args = [b_args, b0_args, u + t1**2, *(p[0] for p in psi_plans + phi_plans), *shift_args]
-    # airy_ai is elementwise, so each slice holds what a call of its own gives
-    ai = np.split(airy_ai(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
-    ai_b, ai_b0, ai_r, *ai = ai
+    b_tail, r_rule, pair_tails = sysm.def11_plans
+    ai_b, ai_r, *ai = sysm.def11_ai
 
-    b_table = np.exp(t1 * sysm.lam) * b_tail(ai_b)
-    r_value = s1 + c * float(np.dot(r_rule.weights, (u - s1) * ai_r * np.exp(-t1 * u)))
-    psi = [
-        np.exp((2.0 / 3.0) * t**3 + t * y) - np.exp(t * y) * tail(v)
-        for t, y, (_, tail), v in zip(taus, sysm.nodes, psi_plans, ai[:m])
-    ]
-    phi = []
-    for i, (t, x, (_, tail), v) in enumerate(zip(taus, sysm.nodes, phi_plans, ai[m : 2 * m])):
+    [b_t] = b_tail(ai_b)
+    b_table = np.exp(t1 * sysm.lam) * b_t
+    u = r_rule.nodes
+    decay = np.exp(-t1 * u)
+    r_value = s1 + c * float(np.dot(r_rule.weights, (u - s1) * ai_r * decay))
+    b_zero = float(np.dot(r_rule.weights, decay * ai_r))
+    psi, phi = [], []
+    for i, (t, x, tails, v) in enumerate(zip(taus, sysm.nodes, pair_tails, ai[:m])):
+        t_psi, t_phi = tails(v)
+        psi.append(np.exp((2.0 / 3.0) * t**3 + t * x) - np.exp(t * x) * t_psi)
         term1 = c * (sysm.ai_tables[i] @ (sysm.lam_w * np.exp(-sysm.lam * (t1 - t)) * b_table))
         term2 = 0.0
         if i >= 1:
             delta = t - t1
             gauss = gaussian_tail_integral(s1 - x, delta)
             term2 = np.exp(-(2.0 / 3.0) * t**3 - t * x) / math.sqrt(4.0 * math.pi * delta) * gauss
-        phi.append(term1 + term2 - np.exp(-t * x) * tail(v))
+        phi.append(term1 + term2 - np.exp(-t * x) * t_phi)
     return Def11Terms(
-        r_value=r_value, psi=np.stack(psi), phi=np.stack(phi),
-        b_zero=float(b0_tail(ai_b0)[0]), ai_shift=np.stack(ai[2 * m :]),
+        r_value=r_value, psi=np.stack(psi), phi=np.stack(phi), b_zero=b_zero, ai_shift=np.stack(ai[m:]),
     )
 
 

@@ -25,6 +25,7 @@ for the benchmark's mc-small workload, whose tracer also wraps row, and for
 the tests.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -136,6 +137,20 @@ class WeightOracle:
         return self._lane.cells(i, j)
 
 
+def _integer_indices(sample_indices) -> bool:
+    """True when sample_indices is a collection of integers: a range, an
+    integer array (neither needs a look at its elements) or a collection
+    whose every element is integral."""
+    if isinstance(sample_indices, range):
+        return True
+    if isinstance(sample_indices, np.ndarray) and sample_indices.dtype.kind in "iu":
+        return True
+    try:
+        return all(isinstance(s, numbers.Integral) for s in sample_indices)
+    except TypeError:  # a scalar
+        return False
+
+
 class BatchWeights:
     """Weight generator for a batch of samples (vectorized across samples).
 
@@ -146,6 +161,10 @@ class BatchWeights:
 
     def __init__(self, params: ModelParams, master_seed: int, sample_indices):
         self.params = params
+        # the uint64 cast would truncate a float index onto another sample's
+        # key, so every index must be an integer
+        if not _integer_indices(sample_indices):
+            raise ParameterError("sample indices must be a collection of integers")
         # SeedSpec refuses a seed or index outside [0, 2**64), which the uint64
         # cast would wrap; Python's min/max stay exact where numpy rounds
         ends = (min(sample_indices), max(sample_indices)) if len(sample_indices) else (0,)

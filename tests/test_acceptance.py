@@ -103,8 +103,8 @@ def test_c03_airy_layer():
         for x in range(-10, 11)
     )
     # int_0^inf Ai = 1/3 through the limit law's own tail-integral route
-    args, finish = _tail_plan(0.0, 0.0, np.array([0.0]))
-    e_int = abs(float(finish(airy_ai(args))[0]) - 1.0 / 3.0)
+    args, finish = _tail_plan((0.0,), 0.0, np.array([0.0]))
+    e_int = abs(float(finish(airy_ai(args))[0][0]) - 1.0 / 3.0)
     ok = e_ai0 <= 1e-10 and resid <= 1e-8 and e_int <= 1e-10
     _report(
         3,

@@ -33,8 +33,8 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 def test_traced_limit_cdf_spans(monkeypatch):
     # one CDF point at tau = (0,), s = 0 builds one system and runs one
-    # Definition-1.1 stage, with Ai in two calls: the block's table and
-    # def11_terms' batch
+    # Definition-1.1 stage, with Ai in one call: the system evaluates the
+    # block's table and every Definition-1.1 argument together
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
@@ -49,7 +49,7 @@ def test_traced_limit_cdf_spans(monkeypatch):
     calls = {name: v["calls"] for name, v in t.totals().items()}
     assert calls["limitlaw.def11_terms"] == 1
     assert calls["limitlaw.nystrom"] == 1
-    assert calls["specfun.airy_ai"] == 2
+    assert calls["specfun.airy_ai"] == 1
 
 
 def test_each_workload_runs_one_cycle(monkeypatch):

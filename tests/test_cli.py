@@ -204,6 +204,22 @@ def test_import_leaves_scipy_stats_out(module):
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_the_process_pool_out():
+    # multiprocessing and concurrent.futures are imported where a large Monte
+    # Carlo sweep starts its pool, so importing the CLI loads neither
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys, stasep.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 

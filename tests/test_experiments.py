@@ -1,6 +1,7 @@
 """Fast variants of the validation harnesses (the full-size runs live in
 test_acceptance)."""
 
+import concurrent.futures
 import os
 import sys
 from concurrent.futures import Future
@@ -109,7 +110,7 @@ def inline_pool(monkeypatch):
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sys, "platform", "linux")
     return sizes
 

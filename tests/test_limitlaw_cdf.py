@@ -337,22 +337,23 @@ def _counting_airy(monkeypatch):
     return calls
 
 
-def test_limit_cdf_calls_airy_once_per_distinct_table_and_once_more(monkeypatch):
-    # one Airy table per distinct (tau_i^2, s_i, length_i), and one call for
-    # the whole Definition-1.1 stage (B, B(0), Psi, Phi's third term, R and
-    # the shift column)
+def test_limit_cdf_calls_airy_once_per_point(monkeypatch):
+    # one Airy call per CDF point at every m: the tables of the distinct
+    # (tau_i^2, s_i, length_i) blocks and every Definition-1.1 argument (B,
+    # R's rule, which B(0) shares, the Psi/Phi tail plans and the shift
+    # column) are evaluated together
     calls = _counting_airy(monkeypatch)
     cases = [
-        ((0.0,), (0.5,), 2),
-        ((-1.0, 1.0), (-1.0, -1.0), 2),
-        ((-1.0, 1.0), (-1.0, 0.0), 3),
-        ((-1.0, 0.0, 1.0), (-1.0, -1.0, -1.0), 3),
-        ((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 4),
+        ((0.0,), (0.5,)),
+        ((-1.0, 1.0), (-1.0, -1.0)),
+        ((-1.0, 1.0), (-1.0, 0.0)),
+        ((-1.0, 0.0, 1.0), (-1.0, -1.0, -1.0)),
+        ((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)),
     ]
-    for taus, esses, expected in cases:
+    for taus, esses in cases:
         calls.clear()
         limit_cdf(MultiPointSpec(taus, esses), Q)
-        assert len(calls) == expected, (taus, esses, calls)
+        assert len(calls) == 1, (taus, esses, calls)
 
 
 def test_airy_evaluations_per_cdf_point(monkeypatch):
@@ -361,7 +362,7 @@ def test_airy_evaluations_per_cdf_point(monkeypatch):
     # and for tau = (-1, 1) at s = (s, s); both counts are deterministic
     calls = _counting_airy(monkeypatch)
     grid = [-4.0 + 0.5 * k for k in range(17)]
-    for taus, bound in (((0.0,), 4911), ((-1.0, 1.0), 7903)):
+    for taus, bound in (((0.0,), 4372), ((-1.0, 1.0), 6877)):
         calls.clear()
         for s in grid:
             limit_cdf(MultiPointSpec(taus, (s,) * len(taus)), Q)

@@ -18,10 +18,11 @@ from stasep.limitlaw import (
     khat,
     khat_dual_check,
     NystromSystem,
+    TAIL_EXPONENT,
     _airy_log_envelope,
     _tail_plan,
 )
-from stasep.specfun import airy_ai, composite_rule
+from stasep.specfun import airy_ai, composite_rule, gaussian_tail_integral
 
 DAI_ZERO_SQ = 0.06698748377966399
 
@@ -171,19 +172,68 @@ def test_def11_tables_match_oracles():
 def test_tail_integrals_match_2d_quadrature():
     # e^{a v} T(v) = int_0^inf e^{-a x} Ai(x + v + b) dx, computed the way the
     # Psi and Phi tables were built before: one composite rule in x and a
-    # (points x rule) Airy table.  Points are unsorted and repeat.
+    # (points x rule) Airy table.  Points are unsorted and repeat; the rates
+    # tau and -tau share one plan, as Psi and Phi do.
     rng = np.random.default_rng(11)
     pts = np.concatenate([rng.uniform(-4.5, 14.0, 37), [0.0, 0.0, 2.5, 2.5, 2.5]])
     rng.shuffle(pts)
     rule = composite_rule(0.0, 40.0, 27, 24)
     for tau in (-1.0, 0.0, 1.0, 2.0):
-        for a in (tau, -tau):
-            args, finish = _tail_plan(a, tau**2, pts, 42.0)
-            got = np.exp(a * pts) * finish(airy_ai(args))
+        args, finish = _tail_plan((tau, -tau), tau**2, pts, 42.0)
+        for a, t in zip((tau, -tau), finish(airy_ai(args))):
+            got = np.exp(a * pts) * t
             table = airy_ai(pts[:, None] + tau**2 + rule.nodes[None, :])
             ref = table @ (rule.weights * np.exp(-a * rule.nodes))
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (tau, a)
             assert np.array_equal(got[pts == 2.5], np.full(3, got[pts == 2.5][0]))
+
+
+def _single_rate_tail(a, b, v, target=TAIL_EXPONENT):
+    """T_a on v from a plan with the one rate a, on an airy_ai call of its own."""
+    args, finish = _tail_plan((a,), b, v, target)
+    [tail] = finish(airy_ai(args))
+    return tail
+
+
+@pytest.mark.parametrize(
+    "taus, esses",
+    [
+        ((-1.0,), (-6.0,)),
+        ((-1.0, 1.0), (-6.0, -3.0)),
+        ((-1.5, -1.0, -0.5), (-7.0, -6.5, -6.0)),
+    ],
+    ids=["m1", "m2-unequal-lengths", "m3"],
+)
+def test_shared_airy_call_and_plans_change_no_bit(taus, esses):
+    # the system's one Airy call, the tail plan Psi_j and Phi_j share, and
+    # B(0) read off R's rule give exactly (==) what separate single-rate
+    # plans and a direct table give, each on an airy_ai call of its own.  In
+    # every case Psi_1's certified tail is longer than Phi_1's (at tau_1 < 0
+    # only Psi_1's rate e^{-tau_1 u} grows), so each rate's own tail is used
+    spec = MultiPointSpec(taus, esses)
+    sysm = NystromSystem(spec, QuadratureConfig())
+    terms = def11_terms(sysm)
+    if spec.m == 2:
+        assert sysm.lengths[0] != sysm.lengths[1]
+    np_taus = np.array(taus)
+    for i in range(spec.m):
+        table = airy_ai(sysm.nodes[i][:, None] + np_taus[i] ** 2 + sysm.lam[None, :])
+        assert np.array_equal(sysm.ai_tables[i], table), i
+    t1, s1 = taus[0], esses[0]
+    c = math.exp(-(2.0 / 3.0) * t1**3)
+    target = TAIL_EXPONENT + max(-t1 * s1, 0.0)
+    assert terms.b_zero == _single_rate_tail(t1, t1**2, s1 + np.zeros(1), target)[0]
+    b_table = np.exp(t1 * sysm.lam) * _single_rate_tail(t1, t1**2, s1 + sysm.lam, target)
+    for i, (t, x) in enumerate(zip(taus, sysm.nodes)):
+        psi = np.exp((2.0 / 3.0) * t**3 + t * x) - np.exp(t * x) * _single_rate_tail(t, t**2, x)
+        term1 = c * (sysm.ai_tables[i] @ (sysm.lam_w * np.exp(-sysm.lam * (t1 - t)) * b_table))
+        term2 = 0.0
+        if i >= 1:
+            gauss = gaussian_tail_integral(s1 - x, t - t1)
+            term2 = np.exp(-(2.0 / 3.0) * t**3 - t * x) / math.sqrt(4.0 * math.pi * (t - t1)) * gauss
+        phi = term1 + term2 - np.exp(-t * x) * _single_rate_tail(-t, t**2, x)
+        assert np.array_equal(terms.psi[i], psi), i
+        assert np.array_equal(terms.phi[i], phi), i
 
 
 # Uniform-shift identities behind the closed-form derivative in limit_cdf:

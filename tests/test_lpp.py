@@ -276,10 +276,16 @@ def test_batch_layouts_agree_bitwise():
 @pytest.mark.parametrize("params", [ModelParams.two_sided(0.5), ModelParams.bernoulli_domain(0.5)],
                          ids=["two-sided", "bernoulli-domain"])
 def test_batch_refuses_out_of_range_seed_and_index(params):
-    # a seed or sample index outside [0, 2**64) is refused, not wrapped onto
-    # the samples of another seed or index
+    # a seed or sample index outside [0, 2**64), or an index that is not an
+    # integer, is refused, not wrapped or truncated onto the samples of
+    # another seed or index
     for seed, indices in ((-1, range(3)), (2**64, range(3)), (5, [0, -1, 2])):
         with pytest.raises(ParameterError):
             last_passage_batch(params, seed, indices, [(2, 2)])
+    for indices in ([0.7, 2.9], [0, 2.0], 2.0, np.array([0.0, 1.0]), np.arange(3.0)):
+        with pytest.raises(ParameterError):
+            BatchWeights(params, 5, indices)
     g = last_passage_batch(params, 2**64 - 1, [0, 2**64 - 1], [(2, 2)])
     assert g.shape == (2, 1)
+    for indices in (range(2, 5), np.arange(3), np.array([4, 7], dtype=np.uint64), [], [np.int64(3)]):
+        assert len(BatchWeights(params, 5, indices).keys) == len(indices)

@@ -191,7 +191,7 @@ def test_maclaurin_early_stop_is_bitwise():
 
 
 def test_airy_is_elementwise_bitwise():
-    # limitlaw.def11_terms evaluates many argument sets in one call and splits
+    # limitlaw.NystromSystem evaluates many argument sets in one call and splits
     # the result; that is exact only if each value is independent of the rest
     # of the array, bit for bit
     joints = np.array([-7.6, -4.3, 3.95, 7.6, 107.47])
