@@ -19,12 +19,8 @@ class RefusalError(RuntimeError):
 
 
 class AccuracyError(RuntimeError):
-    """A quadrature self-check failed.  Carries both estimates."""
-
-    def __init__(self, message, coarse=None, fine=None):
-        super().__init__(message)
-        self.coarse = coarse
-        self.fine = fine
+    """The limit law cannot vouch for a value: the kernel needs more
+    quadrature nodes than N_CAP, or F came out outside the alarm band."""
 
 
 class InvertibilityError(RuntimeError):

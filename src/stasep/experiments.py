@@ -169,8 +169,10 @@ def mc_vs_limit(
     s-vectors.  Each sample is centred on the exact lattice mean
     x/(1-rho) + y/rho of its simulated (floored) point (rescale_at_point),
     so the floors in scale_dpp add no O(1) shift in s at any T.
-    Statistic: max_k (|emp_k - F_k| - 3 se_k - bias_allowance), clipped
-    below at the plain sup distance when bias_allowance = 0."""
+    With bias_allowance = 0 the statistic is the plain sup distance
+    max_k |emp_k - F_k|, passed when at most `threshold`; with
+    bias_allowance > 0 it is the excess max_k (|emp_k - F_k| - 3 se_k -
+    bias_allowance), passed when at most 0."""
     if frame.T < 250:
         raise RefusalError("frame too small: need T >= 250")
     if n_samples < 10**4:

@@ -16,6 +16,7 @@ single-sample results equal bit for bit.  Ties in the max do not affect DP
 values.
 """
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
@@ -31,16 +32,25 @@ HASH_BLOCK_CELLS = 32_768  # cells x lanes per cell_weights call in _sweep
 Point = Tuple[int, int]
 
 
+def _lattice_point(p) -> Point:
+    """p as a pair of Python ints; a float coordinate would truncate onto
+    another cell, so only integers (numpy's too) pass."""
+    if not (isinstance(p[0], numbers.Integral) and isinstance(p[1], numbers.Integral)):
+        raise DomainError(f"point {p} is not a pair of integers")
+    x, y = int(p[0]), int(p[1])
+    if x < 0 or y < 0:
+        raise DomainError(f"point {p} outside the first quadrant")
+    return x, y
+
+
 def _check_points(points: Sequence[Point]) -> List[Point]:
     if not points:
         raise RefusalError("point set is empty")
     seen = []
     for p in points:
-        x, y = int(p[0]), int(p[1])
-        if x < 0 or y < 0:
-            raise DomainError(f"point {p} outside the first quadrant")
-        if (x, y) not in seen:
-            seen.append((x, y))
+        xy = _lattice_point(p)
+        if xy not in seen:
+            seen.append(xy)
     return seen
 
 
@@ -175,9 +185,7 @@ def brute_force_last_passage(oracle: WeightOracle, point: Point) -> float:
     Path sums are accumulated step by step in path order, matching the
     DP's rounding exactly.
     """
-    x, y = int(point[0]), int(point[1])
-    if x < 0 or y < 0:
-        raise DomainError(f"point {point} outside the first quadrant")
+    x, y = _lattice_point(point)
     if x + y > BRUTE_FORCE_CAP:
         raise RefusalError(
             f"x + y = {x + y} exceeds enumeration cap {BRUTE_FORCE_CAP}"

@@ -12,6 +12,7 @@ weight field (TAG_FIELD), the Bernoulli-domain boundary geometrics
 the initial occupations (TAG_INIT).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +144,11 @@ class SeedSpec:
     sample_index: int = 0
 
     def __post_init__(self):
+        # int() would truncate a float onto another seed's stream, so only
+        # integers (numpy's too) pass
         for name in ("master_seed", "sample_index"):
             v = getattr(self, name)
-            if not 0 <= int(v) < 2**64:
+            if not isinstance(v, numbers.Integral) or not 0 <= int(v) < 2**64:
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer")
 
     @property

@@ -1,24 +1,24 @@
 """Airy function, Gaussian tail integral, and quadrature primitives.
 
-airy_ai is a self-contained float64 evaluator on [-40, 200]:
+airy_ai is a self-contained float64 evaluator on [-40, 200], in three
+pieces joined at -4.3 and 3.95:
 
+    x in [-40, -4.3]   Ai(-z) = M(z) cos theta(z) (DLMF 9.8.3), with
+                       m = sqrt(pi) z^(1/4) M and p = zeta (theta - pi/4 + zeta)
+                       each a Chebyshev series in w = 1/zeta, zeta = (2/3) z^(3/2)
     x in (-4.3, 3.95)  Maclaurin series (entire-function Taylor at 0)
-    x in [3.95, 7.6)   Chebyshev fit of the exponentially scaled function
-    x in [7.6, 107.47) Chebyshev series in 1/zeta, zeta = (2/3) x^(3/2), of the
-                       scaled function Ai(x) 2 sqrt(pi) x^(1/4) e^zeta
+    x in [3.95, 107.47) Chebyshev series in w = 1/zeta, zeta = (2/3) x^(3/2),
+                       of the scaled function Ai(x) 2 sqrt(pi) x^(1/4) e^zeta
     x >= 107.47        exactly 0 (Ai(x) < 2^-1075 there, so float64 underflows)
-    x in (-7.6, -4.3]  Chebyshev fit of Ai itself
-    x <= -7.6          oscillatory asymptotic expansion
 
-The plain series/asymptotic pair cannot reach 1e-10 in double precision near
-|x| ~ 5-7 (Taylor cancellation on one side, divergent-tail floor on the
-other), hence the two mid-range Chebyshev tables.  For x >= 7.6 the scaled
-function is smooth in 1/zeta on [0, 1/zeta(7.6)] (it tends to 1 as zeta ->
-inf), so a 12-term Chebyshev series replaces the decaying asymptotic sum.
-All coefficients were fitted offline against a 40-digit reference (mpmath
-airyai at Chebyshev points); fit residual < 2e-15, < 2e-16 for the 1/zeta
-series, whose float64 error is set by the rounding of exp(-zeta).  Tests pin
-the branch joints and the accuracy over the whole supported range.
+Each function the outer series hold is smooth in w and tends to a constant
+as w -> 0 (1, 1 and 5/72), so one series covers each side out to the end
+of the range: 16, 16 and 18 coefficients, interpolating a 40-digit mpmath
+reference at 48 Chebyshev points and cut at the first below 1e-17.
+tests/airy_fit.py refits them (`python tests/airy_fit.py` prints the
+tables) and a test checks that the refit equals these floats bit for bit.
+The float64 error comes from rounding zeta: through exp(-zeta) on the
+positive side, through the phase on the negative side.
 """
 
 import math
@@ -35,58 +35,38 @@ AIRY_MIN, AIRY_MAX = -40.0, 200.0
 _AI0 = 0.35502805388781723926    # Ai(0)  = 3^(-2/3)/Gamma(2/3)
 _DAI0 = -0.25881940379280679840  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
 
-# branch joints
-_XA, _XB, _XC, _XD = -7.6, -4.3, 3.95, 7.6
-
-_CHEB_NEG_LO, _CHEB_NEG_HI = -7.8, -4.2
-_CHEB_POS_LO, _CHEB_POS_HI = 3.9, 7.8
-_INV_ZETA_HI = 0.0725  # the 1/zeta series lives on [0, 0.0725]; 1/zeta(7.6) = 0.0716
+# Maclaurin on (_X_NEG, _X_POS); the outer series live on [0, hi] in w = 1/zeta,
+# with 1/zeta(3.95) = 0.1911 and 1/zeta(4.3) = 0.1682
+_X_NEG, _X_POS = -4.3, 3.95
+_POS_W_HI, _NEG_W_HI = 0.192, 0.169
 _X_UNDERFLOW = 107.47  # Ai(107.4655...) = 2^-1075
 
-_CHEB_NEG = np.array([
-    0.12519204386446764, 0.015997939655579725, 0.1710928749358428,
-    -0.07819563086687169, -0.23016996167708192, 0.05232771670212115,
-    0.04888382174942337, -0.013488073133793245, -0.004084969874913341,
-    0.0016429117226174615, 0.00011210855073862298, -0.0001093290102763668,
-    5.851001230714189e-06, 4.151854742793491e-06, -6.408262390525717e-07,
-    -7.726745674725003e-08, 2.6830457522259865e-08, -4.141661145458698e-10,
-    -6.28505204051432e-10, 6.607554494700295e-11, 7.310227515970575e-12,
-    -1.909630627097326e-12, 3.056545263085953e-14, 2.9436445188696136e-14,
-    -2.644323459873827e-15, -1.5606432830235168e-16, 8.731294034140053e-18,
-    7.626123664638303e-18, -5.642675022867263e-17, -2.5621286266658832e-17,
-    -1.255139818426024e-16, -1.2407337688404463e-16, -4.423780559389715e-17,
-    7.189315827066086e-17, 7.696145131812585e-17, 7.289855856347785e-18,
-    3.208307813639336e-17,
+_CHEB_POS = np.array([
+    0.9937787872775237, -0.006082700173723332, 0.0001330003522471352,
+    -5.206242677556396e-06, 2.84639522946973e-07, -1.9555118955917693e-08,
+    1.5932516868923173e-09, -1.484788429127406e-10, 1.5443525753346678e-11,
+    -1.7614708807844939e-12, 2.174283571187699e-13, -2.874947821686669e-14,
+    4.039172660222042e-15, -5.9902635026372e-16, 9.326804927990367e-17,
+    -1.517677401265809e-17,
 ])
 
-_CHEB_POS_SCALED = np.array([
-    0.9922946638149774, 0.003716183443188489, -0.0007456382668013077,
-    0.0001390350408496828, -2.490541502522625e-05, 4.349518088555783e-06,
-    -7.465225889117566e-07, 1.2654148940765586e-07, -2.1253615673316313e-08,
-    3.5452431467381744e-09, -5.883159740054825e-10, 9.724912723764608e-11,
-    -1.6028986229035366e-11, 2.63636956950817e-12, -4.329919592923593e-13,
-    7.101039372125617e-14, -1.1688490057634262e-14, 1.890641784316544e-15,
-    -3.332440156739631e-16, 3.2666607286566684e-17, -1.3925576600355214e-17,
-    8.22763745198798e-18, -4.772528676253503e-18,
+_CHEB_NEG_M = np.array([
+    0.9996391948702169, -0.0004782414568852588, -0.00011538493002953576,
+    2.2787157803917387e-06, 2.077571365235322e-07, -1.9875724996479645e-08,
+    -1.0217541721607841e-10, 1.9429048318168129e-10, -1.877978670325043e-11,
+    -6.188230345371814e-13, 4.2200656328755866e-13, -5.3667479726887935e-14,
+    -6.442696671568638e-16, 1.5573935664814863e-15, -3.040891209655233e-16,
+    1.708332203182493e-17,
 ])
 
-_CHEB_INV_ZETA = np.array([
-    0.9975516942650827, -0.002425941301934889, 2.1985508946302295e-05,
-    -3.696799292821198e-07, 8.953094709454646e-09, -2.7988926874842725e-10,
-    1.0626227272695298e-11, -4.713548668250646e-13, 2.3786211957979692e-14,
-    -1.3393435017357967e-15, 8.289316675499715e-17, -5.511199548250229e-18,
+_CHEB_NEG_P = np.array([
+    0.069085270939881, -0.00047355114861024705, -0.00011056388816039131,
+    4.183399096389896e-06, 3.2003551415113024e-07, -4.931687821208257e-08,
+    8.968111863832111e-10, 5.297917450022924e-10, -7.718089786732963e-11,
+    8.43577276996484e-13, 1.5315259832828742e-12, -2.8687064921114156e-13,
+    1.2431803662110347e-14, 6.206290902269693e-15, -1.800213914756045e-15,
+    2.0177209100867645e-16, 1.9976484700442814e-17, -1.3849218190456828e-17,
 ])
-
-
-def _u_coeffs(n: int) -> np.ndarray:
-    u = np.empty(n)
-    u[0] = 1.0
-    for k in range(1, n):
-        u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k)
-    return u
-
-
-_U = _u_coeffs(40)
 
 
 def _maclaurin(x: np.ndarray) -> np.ndarray:
@@ -132,26 +112,23 @@ def _absorbed(total: np.ndarray, term: np.ndarray) -> bool:
     return bool(np.all(total + mag == total) and np.all(total - mag == total))
 
 
-def _cheb_inv_zeta(x: np.ndarray) -> np.ndarray:
+def _positive(x: np.ndarray) -> np.ndarray:
+    """Ai on [3.95, 107.47): the scaled function's series in 1/zeta times
+    e^-zeta / (2 sqrt(pi) x^(1/4))."""
     zeta = (2.0 / 3.0) * x**1.5
-    s = _chebval_on(_CHEB_INV_ZETA, 0.0, _INV_ZETA_HI, 1.0 / zeta)
+    s = _chebval_on(_CHEB_POS, 0.0, _POS_W_HI, 1.0 / zeta)
     return s * np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x**0.25)
 
 
-def _asym_neg(x: np.ndarray) -> np.ndarray:
+def _negative(x: np.ndarray) -> np.ndarray:
+    """Ai(-z) on z in [4.3, 40]: m cos(pi/4 - zeta + p / zeta) / (sqrt(pi)
+    z^(1/4)), with m and p from their series in w = 1/zeta."""
     z = -x
     zeta = (2.0 / 3.0) * z**1.5
-    se = np.zeros_like(z)
-    so = np.zeros_like(z)
-    live = np.ones_like(z, dtype=bool)
-    for k in range(10):
-        te = (-1.0) ** k * _U[2 * k] / zeta ** (2 * k)
-        to = (-1.0) ** k * _U[2 * k + 1] / zeta ** (2 * k + 1)
-        se = np.where(live, se + te, se)
-        so = np.where(live, so + to, so)
-        live &= _U[2 * k + 2] / zeta ** (2 * k + 2) < np.abs(te)
-    ang = zeta - 0.25 * np.pi
-    return (np.cos(ang) * se + np.sin(ang) * so) / (np.sqrt(np.pi) * z**0.25)
+    w = 1.0 / zeta
+    m = _chebval_on(_CHEB_NEG_M, 0.0, _NEG_W_HI, w)
+    p = _chebval_on(_CHEB_NEG_P, 0.0, _NEG_W_HI, w)
+    return m * np.cos(0.25 * np.pi - zeta + p * w) / (np.sqrt(np.pi) * z**0.25)
 
 
 def _chebval_on(c: np.ndarray, lo: float, hi: float, x: np.ndarray) -> np.ndarray:
@@ -175,8 +152,8 @@ def _chebval_on(c: np.ndarray, lo: float, hi: float, x: np.ndarray) -> np.ndarra
 
 
 def airy_ai(x):
-    """Ai(x) for x in [-40, 200], relative accuracy ~1e-11 or better away
-    from zeros (absolute ~1e-13 near them)."""
+    """Ai(x) for x in [-40, 200]: absolute error below 2e-14 for x < 3.95,
+    relative error below 2e-13 from there on while Ai is a normal float."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -186,24 +163,15 @@ def airy_ai(x):
             f"airy_ai argument NaN or outside supported range [{AIRY_MIN}, {AIRY_MAX}]"
         )
     out = np.empty_like(arr)
-    m = arr < _XA
+    m = arr <= _X_NEG
     if m.any():
-        out[m] = _asym_neg(arr[m])
-    m = (arr >= _XA) & (arr <= _XB)
-    if m.any():
-        out[m] = _chebval_on(_CHEB_NEG, _CHEB_NEG_LO, _CHEB_NEG_HI, arr[m])
-    m = (arr > _XB) & (arr < _XC)
+        out[m] = _negative(arr[m])
+    m = (arr > _X_NEG) & (arr < _X_POS)
     if m.any():
         out[m] = _maclaurin(arr[m])
-    m = (arr >= _XC) & (arr < _XD)
+    m = (arr >= _X_POS) & (arr < _X_UNDERFLOW)
     if m.any():
-        xs = arr[m]
-        zeta = (2.0 / 3.0) * xs**1.5
-        s = _chebval_on(_CHEB_POS_SCALED, _CHEB_POS_LO, _CHEB_POS_HI, xs)
-        out[m] = s * np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * xs**0.25)
-    m = (arr >= _XD) & (arr < _X_UNDERFLOW)
-    if m.any():
-        out[m] = _cheb_inv_zeta(arr[m])
+        out[m] = _positive(arr[m])
     out[arr >= _X_UNDERFLOW] = 0.0
     return float(out[0]) if scalar else out
 

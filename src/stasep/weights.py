@@ -119,6 +119,9 @@ class WeightOracle:
 
     def weight_at(self, i: int, j: int) -> float:
         """w(i, j) by the scalar hash, with the operations of cells."""
+        # the hash would truncate a float index onto another cell
+        if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
+            raise DomainError(f"lattice index ({i}, {j}) is not a pair of integers")
         if i < 0 or j < 0:
             raise DomainError(f"negative lattice index ({i}, {j})")
         w = -np.log(uniform_oc(self._lane.keys[0], TAG_FIELD, i, j))

@@ -89,6 +89,27 @@ def test_point_to_point_cases():
         _point_to_point(orc, (3, 0), (2, 5))
 
 
+def test_non_integer_points_and_seeds_refused():
+    p = ModelParams.two_sided(0.5)
+    orc = WeightOracle(p, SeedSpec(3, 1))
+    for pt in ((2.7, 2), (2, 2.0), (np.float64(2.0), 2)):
+        with pytest.raises(DomainError):
+            last_passage(orc, [pt])
+        with pytest.raises(DomainError):
+            last_passage_batch(p, 3, range(2), [(1, 1), pt])
+        with pytest.raises(DomainError):
+            brute_force_last_passage(orc, pt)
+    # a float master seed would truncate onto seed 2's samples
+    with pytest.raises(ParameterError):
+        last_passage_batch(p, 2.5, range(2), [(2, 2)])
+    # numpy integers are integers
+    pt = (np.int64(2), np.uint8(3))
+    assert last_passage(orc, [pt]).values[(2, 3)] == brute_force_last_passage(orc, pt)
+    assert np.array_equal(
+        last_passage_batch(p, np.uint64(3), range(2), [pt]), last_passage_batch(p, 3, range(2), [(2, 3)])
+    )
+
+
 def test_origin_decomposition_exact():
     # G = max(Q(1,0), Q(0,1)) exactly when w00 = 0
     for trial in range(300):

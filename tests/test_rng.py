@@ -14,6 +14,15 @@ def test_seedspec_validation():
     assert SeedSpec(2**64 - 1, 17).sample_index == 17
 
 
+def test_seedspec_refuses_non_integers():
+    # int() would put seed 2.7 on seed 2's stream
+    for seed, index in ((2.7, 0), (2.0, 0), (2, 1.5), (np.float64(3.0), 0), ("2", 0)):
+        with pytest.raises(ParameterError):
+            SeedSpec(seed, index)
+    # numpy integers are integers
+    assert SeedSpec(np.int64(2), np.uint64(3)).key == SeedSpec(2, 3).key
+
+
 def test_uniform_open_closed_range():
     key = stream_key(123, 0)
     u = uniform_oc(key, 0, np.arange(200000), 5)

@@ -37,10 +37,10 @@ def test_airy_against_reference_grid():
 
 
 def test_airy_decaying_branch_against_mpmath():
-    # x >= 7.6: the Chebyshev series in 1/zeta, relative to a 30-digit
+    # x >= 3.95: the Chebyshev series in 1/zeta, relative to a 30-digit
     # reference wherever Ai(x) is a normal float (x < 104.2); the subnormal
     # values up to the underflow point keep an absolute accuracy of 1e-320
-    xs = np.linspace(7.6, 107.5, 800)
+    xs = np.linspace(3.95, 107.5, 830)
     vals = airy_ai(xs)
     for x, v in zip(xs, vals):
         ref = mp.airyai(mp.mpf(float(x)))
@@ -48,13 +48,31 @@ def test_airy_decaying_branch_against_mpmath():
             assert abs(v - ref) <= 1e-12 * ref, (x, v, ref)
         else:
             assert abs(v - ref) <= 1e-320, (x, v, ref)
-    # both sides of the 7.6 joint
-    for x in (7.6 - 1e-12, 7.6, 7.6 + 1e-12):
+    # the series' side of the 3.95 joint; the Maclaurin side (absolute error
+    # 4e-15, 4e-12 relative there) is held by the joint-continuity test
+    for x in (3.95, 3.95 + 1e-12):
         ref = mp.airyai(mp.mpf(x))
         assert abs(airy_ai(x) - ref) <= 1e-12 * ref, x
     # Ai(x) < 2^-1075 from x = 107.4655..., which float64 rounds to 0
     assert airy_ai(107.46) > 0.0
     assert np.all(airy_ai(np.array([107.47, 107.5, 150.0, 200.0])) == 0.0)
+
+
+def test_airy_oscillatory_branch_absolute_accuracy():
+    # x <= -4.3: modulus and phase from their series in 1/zeta; the error is
+    # set by the rounding of zeta inside the cosine
+    xs = np.linspace(-40.0, -4.3, 3001)
+    err = [abs(v - mp.airyai(mp.mpf(float(x)))) for x, v in zip(xs, airy_ai(xs))]
+    assert max(err) <= 2e-14
+
+
+def test_airy_tables_refit_from_mpmath():
+    # every committed coefficient is the 40-digit Chebyshev interpolant of
+    # tests/airy_fit.py, rounded once
+    import airy_fit
+
+    for name, c in airy_fit.fit_tables().items():
+        assert np.array_equal(getattr(specfun, name), np.array(c)), name
 
 
 def test_airy_positive_decay():
@@ -71,7 +89,7 @@ def test_airy_first_zero_bracketed():
 
 
 def test_airy_branch_joints_continuous():
-    for j in (-7.6, -4.3, 3.95, 7.6):
+    for j in (-4.3, 3.95):
         gap = abs(airy_ai(j - 1e-12) - airy_ai(j + 1e-12))
         assert gap < 1e-11
 
@@ -194,17 +212,15 @@ def test_airy_is_elementwise_bitwise():
     # limitlaw.NystromSystem evaluates many argument sets in one call and splits
     # the result; that is exact only if each value is independent of the rest
     # of the array, bit for bit
-    joints = np.array([-7.6, -4.3, 3.95, 7.6, 107.47])
+    joints = np.array([-4.3, 3.95, 107.47])
     edges = np.concatenate([np.nextafter(joints, -np.inf), joints, np.nextafter(joints, np.inf)])
     rng = np.random.default_rng(17)
     every_branch = np.concatenate([
         edges,
-        rng.uniform(-40.0, -7.6, 50),   # oscillatory asymptotic
-        rng.uniform(-7.6, -4.3, 50),    # negative Chebyshev fit
-        rng.uniform(-4.3, 3.95, 50),    # Maclaurin
-        rng.uniform(3.95, 7.6, 50),     # positive Chebyshev fit
-        rng.uniform(7.6, 107.47, 50),   # Chebyshev in 1/zeta
-        rng.uniform(107.47, 200.0, 10), # underflow to 0
+        rng.uniform(-40.0, -4.3, 100),   # modulus and phase in 1/zeta
+        rng.uniform(-4.3, 3.95, 50),     # Maclaurin
+        rng.uniform(3.95, 107.47, 100),  # scaled function in 1/zeta
+        rng.uniform(107.47, 200.0, 10),  # underflow to 0
         [0.0, -0.0, 1e-300],
     ])
     rng.shuffle(every_branch)
@@ -228,11 +244,13 @@ def test_airy_is_elementwise_bitwise():
 def test_chebval_on_matches_numpy_chebval_bitwise():
     from numpy.polynomial.chebyshev import chebval
 
+    # each table at w = 1/zeta over its piece, zeta = (2/3) |x|^(3/2)
+    w_pos = (1.0 / ((2.0 / 3.0) * 107.47**1.5), 1.0 / ((2.0 / 3.0) * 3.95**1.5))
+    w_neg = (1.0 / ((2.0 / 3.0) * 40.0**1.5), 1.0 / ((2.0 / 3.0) * 4.3**1.5))
     tables = [
-        (specfun._CHEB_NEG, specfun._CHEB_NEG_LO, specfun._CHEB_NEG_HI, specfun._XA, specfun._XB),
-        (specfun._CHEB_POS_SCALED, specfun._CHEB_POS_LO, specfun._CHEB_POS_HI, specfun._XC, specfun._XD),
-        # the 1/zeta series at 1/zeta(x) for x over its branch [7.6, 107.47)
-        (specfun._CHEB_INV_ZETA, 0.0, specfun._INV_ZETA_HI, 1.0 / ((2.0 / 3.0) * 107.47**1.5), 1.0 / ((2.0 / 3.0) * 7.6**1.5)),
+        (specfun._CHEB_POS, 0.0, specfun._POS_W_HI, *w_pos),
+        (specfun._CHEB_NEG_M, 0.0, specfun._NEG_W_HI, *w_neg),
+        (specfun._CHEB_NEG_P, 0.0, specfun._NEG_W_HI, *w_neg),
     ]
     for c, lo, hi, a, b in tables:
         x = np.linspace(a, b, 20_001)

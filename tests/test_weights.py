@@ -41,6 +41,14 @@ def test_negative_index_rejected():
         orc.weight_at(-1, 0)
 
 
+def test_weight_at_refuses_non_integer_index():
+    orc = WeightOracle(ModelParams.two_sided(0.5), SeedSpec(1, 0))
+    for i, j in ((2.7, 1), (2, 1.0), (np.float64(2.0), 1)):
+        with pytest.raises(DomainError):
+            orc.weight_at(i, j)
+    assert orc.weight_at(np.int64(2), np.uint32(1)) == orc.weight_at(2, 1)
+
+
 def test_bulk_and_border_means():
     # 1e6 draws per class, within 4 standard errors of the exponential law
     n = 10**6
