@@ -177,6 +177,10 @@ def mc_vs_limit(
         raise RefusalError("frame too small: need T >= 250")
     if n_samples < 10**4:
         raise RefusalError("need at least 1e4 samples")
+    if limit_values is not None and len(limit_values) != len(s_vectors):
+        raise ParameterError(
+            f"limit_values has {len(limit_values)} entries for {len(s_vectors)} s-vectors"
+        )
     t0 = time.time()
     taus = tuple(float(t) for t in taus)
     pts = [scale_dpp(frame, tau, 0.0)[:2] for tau in taus]

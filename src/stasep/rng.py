@@ -12,7 +12,6 @@ weight field (TAG_FIELD), the Bernoulli-domain boundary geometrics
 the initial occupations (TAG_INIT).
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,16 +56,32 @@ def _mix64_inplace(z: np.ndarray, t: np.ndarray) -> None:
             z *= mult
 
 
+def _u64(name: str, v) -> int:
+    """v as a Python int.  int() would truncate a float onto another seed's
+    stream and a mask would wrap -1 onto 2**64 - 1, so only integers (numpy's
+    too) in [0, 2**64) pass."""
+    if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
+        raise ParameterError(f"{name} must be a 64-bit unsigned integer")
+    return int(v)
+
+
 def stream_key(master_seed: int, sample_index):
     """Derive the per-sample stream key.  Distinct (seed, index) pairs give
     statistically independent lanes.  sample_index may be an integer array,
-    giving one key per entry."""
-    if not isinstance(sample_index, np.ndarray) or sample_index.ndim == 0:
-        ms, si = int(master_seed) & _MASK64, int(sample_index) & _MASK64
+    giving one key per entry.  Raises ParameterError for what SeedSpec
+    refuses, and for an index array of non-integer type or with a negative
+    entry."""
+    ms = _u64("master_seed", master_seed)
+    if isinstance(sample_index, np.ndarray) and sample_index.ndim == 0:
+        sample_index = sample_index[()]  # a numpy scalar, checked as one
+    if not isinstance(sample_index, np.ndarray):
+        si = _u64("sample_index", sample_index)
         return _U64(_mix64_int((_mix64_int(ms ^ _PHI_INT) + si * _M2_INT) & _MASK64))
+    if sample_index.dtype.kind not in "iu" or (sample_index.size and sample_index.min() < 0):
+        raise ParameterError("sample_index array must hold integers in [0, 2**64)")
     z = sample_index.astype(np.uint64)  # a copy, hashed in place
     z *= _M2
-    z += _U64(_mix64_int((int(master_seed) & _MASK64) ^ _PHI_INT))
+    z += _U64(_mix64_int(ms ^ _PHI_INT))
     _mix64_inplace(z, np.empty_like(z))
     return z
 
@@ -144,12 +159,8 @@ class SeedSpec:
     sample_index: int = 0
 
     def __post_init__(self):
-        # int() would truncate a float onto another seed's stream, so only
-        # integers (numpy's too) pass
         for name in ("master_seed", "sample_index"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or not 0 <= int(v) < 2**64:
-                raise ParameterError(f"{name} must be a 64-bit unsigned integer")
+            _u64(name, getattr(self, name))
 
     @property
     def key(self) -> np.uint64:

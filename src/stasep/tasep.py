@@ -173,6 +173,8 @@ def evolve(
     the same clocks and the same blocking, since a jump into column i <= i_max
     waits only on jumps of columns <= i, so each keeps its time bit for bit.
     """
+    if not math.isfinite(t_end):
+        raise ParameterError(f"t_end must be finite, got {t_end}")
     if t_end < state.time:
         raise ParameterError("t_end precedes current state time")
     start_pos = state.positions.astype(np.int64)
@@ -204,7 +206,6 @@ def evolve(
 
     pos = [int(p) for p in start_pos]
     jumps = [0] * nlab
-    pending = [False] * nlab
     rec_t: List[float] = []
     rec_l: List[int] = []
     rec_g: List[int] = []
@@ -213,7 +214,6 @@ def evolve(
     for k in range(nlab):
         if pos[k] < stop[k] and (k == 0 or pos[k - 1] > pos[k] + 1):
             heap.append((t0 + clocks[k][0], k))
-            pending[k] = True
     heapq.heapify(heap)
 
     push = heapq.heappush
@@ -221,9 +221,7 @@ def evolve(
     while heap:
         t, k = pop(heap)
         if t > t_end:
-            push(heap, (t, k))
             break
-        pending[k] = False
         old = pos[k]
         new = old + 1
         if k > 0 and pos[k - 1] <= new:
@@ -243,15 +241,15 @@ def evolve(
             rec_l.append(label_min + k)
             rec_g.append(new)
         # the particle behind, if adjacent, is unblocked at time t (its jump
-        # into `old` has clock index new + label_k, within i_max)
+        # into `old` has clock index new + label_k, within i_max).  It has no
+        # heap entry: a particle has one exactly while it is unblocked and
+        # below its stop
         kb = k + 1
-        if kb < nlab and pos[kb] == old - 1 and not pending[kb]:
+        if kb < nlab and pos[kb] == old - 1:
             push(heap, (t + clocks[kb][jumps[kb]], kb))
-            pending[kb] = True
         # this particle may keep moving
         if new < stop[k] and (k == 0 or pos[k - 1] > new + 1):
             push(heap, (t + clocks[k][jumps[k]], k))
-            pending[k] = True
 
     out = TasepState(
         label_min=label_min,
@@ -317,9 +315,15 @@ def lpp_bridge_check(
         x_y(t) >= x - y       <=>  L(x, y) <= t         (particle form)
         h_t(x-y-1) >= x+y-1   <=>  x_y(t) >= x - y       (height form)
 
-    plus exact equality of L(x, y) with the simulated exit time E_y(x-1).
     Initial data: Bernoulli(rho) conditioned on site 0 empty, site 1
     occupied.
+
+    The particle form is checked once, as E_y(x-1) = L(x, y) for the
+    simulated exit time E_y(x-1), when particle y enters site x-y.  That
+    particle starts at x_y(0) <= -y < x-y and moves one site per jump, so
+    x_y(t) >= x-y exactly when t >= E_y(x-1): the equality gives the form at
+    every t.  With no exit event by t_cap, L > t_cap gives it at every grid
+    time, since neither side holds.
 
     The height form above is the exact pathwise identity.  A jump across
     bond j raises h(j) by 2 and bond-j crossings happen in label order, so
@@ -330,36 +334,27 @@ def lpp_bridge_check(
     Simulated cells.  Labels <= 0 sit on sites >= 1 and are kept while
     their DP row is non-empty; labels 1..y are the remaining DP rows, and
     particle y gives the exit time.  No label > y is simulated, and this
-    changes no outcome of the check.  Such a label starts left of
-    seg_lo = min(1, x-y) and crosses each bond only after particle y has.
-    The replay observes only jumps into sites >= seg_lo: N_t counts entries
-    to site 1, and the height segment [seg_lo, seg_hi] counts entries and
-    exits.  A label > y entering site 1 raises N_t and the segment count
-    together, so h(x-y-1) is unchanged.  Any other observed jump by such a
-    label comes after particle y reached x-y; by then the particle form
-    holds, and h only grows.  So every report on a passing instance is
+    changes no outcome of the check.  The check counts log entries into site
+    x-y, the only jumps that move h(x-y-1).  A label > y starts left of
+    particle y and enters x-y only after particle y has; by then the particle
+    form holds, and h only grows.  So every report on a passing instance is
     unchanged; only the h= value printed in a failing witness could differ.
 
     Each simulated label j also stops at site x - j (evolve's i_max = x):
     the DP reads only cells with i <= x, so every T(i, j) it uses comes from
-    the same float operations.  The dropped jumps change no outcome either.
-    h(x-y-1) changes only on jumps into site x-y; for a label j <= y that
-    jump has clock index x-y+j <= x, so it is still simulated.  The one
-    other observed jump that can be dropped is a label j >= x entering site
-    1 when x <= y, which, like a label > y entering site 1, leaves h(x-y-1)
-    unchanged.
+    the same float operations.  The dropped jumps change no outcome either:
+    a label j <= y enters site x-y with clock index x-y+j <= x, so every
+    entry the check counts is still simulated.
     """
     if x < 1 or y < 1:
         raise ParameterError("bridge requires x, y >= 1")
     seed = SeedSpec(master_seed, sample_index)
     waits = WaitingTimes(seed)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
+        raise ParameterError("t_grid must be a non-empty set of finite times")
     t_cap = float(t_grid[-1])
     j_site = x - y - 1  # height is probed one site left of the arrival
-    if j_site >= 1:
-        seg_lo, seg_hi = 1, j_site
-    else:
-        seg_lo, seg_hi = j_site + 1, 0
 
     # labels <= 0 live on sites >= 1 (label 0 on the conditioned site 1);
     # include while the row domain {i : x_j(0) + j < i <= x} is non-empty
@@ -393,63 +388,29 @@ def lpp_bridge_check(
     g = _sweep(lambda c, r: clocks[r, c, None], [x - i0] * len(js), 1, [(x - i0, len(js) - 1)])
     l_xy = float(g[0, 0])
 
-    pos_y0 = int(positions[y - label_min])
-
     exit_t = queue_exit_time(log, y, x - 1)
-    checks = 0
-    witness = None
-
+    checks, witness = 0, None
     if exit_t is not None and exit_t != l_xy:
         witness = f"E_y(x-1) = {exit_t!r} differs from L = {l_xy!r}"
     if exit_t is None and l_xy <= t_cap:
         witness = f"no exit event although L = {l_xy!r} <= {t_cap!r}"
 
     if witness is None:
-        # single incremental replay of the time-ordered log: track N_t, the
-        # occupied count over the height segment, and particle y's position
-        seg_w = seg_hi - seg_lo + 1
-        occ_in_seg = int(np.count_nonzero((positions >= seg_lo) & (positions <= seg_hi)))
-        n_t = 0
-        pos_y = pos_y0
-        ev = 0
-        n_ev = len(log.times)
-        times = log.times
-        labs = log.labels
-        tgts = log.targets
-        for t in t_grid:
-            t = float(t)
-            while ev < n_ev and times[ev] <= t:
-                tgt = tgts[ev]
-                if tgt == 1:
-                    n_t += 1
-                if tgt == seg_lo:
-                    occ_in_seg += 1
-                elif tgt == seg_hi + 1:
-                    occ_in_seg -= 1
-                if labs[ev] == y:
-                    pos_y = tgt
-                ev += 1
-            particle_ok = pos_y >= x - y
-            lpp_ok = l_xy <= t
-            if particle_ok != lpp_ok:
-                witness = f"particle/LPP mismatch at t={t}"
-                break
-            h_val = 2 * n_t
-            if j_site != 0:
-                signed = seg_w - 2 * occ_in_seg  # sum of (1 - 2 eta)
-                h_val += signed if j_site >= 1 else -signed
-            height_ok = h_val >= x + y - 1
-            if height_ok != particle_ok:
-                witness = f"height/particle mismatch at t={t} (h={h_val})"
-                break
-            checks += 1
+        # h(x-y-1) moves only on jumps into site x-y, by 2 each, so the height
+        # form holds from the k-th of them on (the log is in time order)
+        times, tgts = np.asarray(log.times), np.asarray(log.targets)
+        entries = times[tgts == x - y]
+        # h_0(j) = j - 2 (particles on sites 1..j), or j + 2 (on j+1..0) if j < 1
+        h0 = j_site + 2 * (np.count_nonzero(positions > j_site) - np.count_nonzero(positions > 0))
+        k = (x + y - h0) // 2  # the least k with h0 + 2k >= x+y-1
+        t_h = -np.inf if k < 1 else entries[k - 1] if k <= entries.size else np.inf
+        # t >= E_y(x-1) is t >= L here (no grid time reaches L without an exit)
+        bad = np.flatnonzero((t_grid >= t_h) != (t_grid >= l_xy))
+        checks = int(bad[0]) if bad.size else len(t_grid)
+        if bad.size:
+            t = float(t_grid[checks])
+            h_val = h0 + 2 * int(np.searchsorted(entries, t, side="right"))
+            witness = f"height/particle mismatch at t={t} (h={h_val})"
 
-    return BridgeReport(
-        ok=witness is None,
-        x=x,
-        y=y,
-        l_value=l_xy,
-        exit_time=exit_t,
-        checks=checks,
-        witness=witness,
-    )
+    return BridgeReport(ok=witness is None, x=x, y=y, l_value=l_xy, exit_time=exit_t,
+                        checks=checks, witness=witness)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stasep import experiments
-from stasep.errors import RefusalError
+from stasep.errors import ParameterError, RefusalError
 from stasep.experiments import (
     _batched_g,
     EmpiricalCDF,
@@ -50,6 +50,12 @@ def test_mc_vs_limit_preconditions():
     frame = ScalingFrame(T=300.0, rho=0.5)
     with pytest.raises(RefusalError):
         mc_vs_limit(frame, [0.0], 100, 1, [[0.0]])
+
+    # a table that does not match the s-vectors would be zipped short
+    frame = ScalingFrame(T=256.0, rho=0.5)
+    for table in ([0.5], [0.1, 0.5, 0.9]):
+        with pytest.raises(ParameterError):
+            mc_vs_limit(frame, [0.0], 10**4, 1, [[-1.0], [0.0]], limit_values=np.array(table))
 
 
 def test_mc_vs_limit_small_run():

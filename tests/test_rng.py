@@ -23,6 +23,23 @@ def test_seedspec_refuses_non_integers():
     assert SeedSpec(np.int64(2), np.uint64(3)).key == SeedSpec(2, 3).key
 
 
+def test_stream_key_refuses_what_seedspec_refuses():
+    # int() and the 64-bit mask would put each of these on another key:
+    # 2.5 on seed 2, index 1.7 on index 1, -1 on 2**64 - 1, [1.5] on [1]
+    for seed, index in ((2.5, 0), (2, 1.7), (-1, 0), (2**64, 0), (2, -1), (2, 2**64), ("2", 0),
+                        (2, np.array([1.5])), (2, np.array(1.5)), (2, np.array([0, -1])),
+                        (2, np.array([True]))):
+        with pytest.raises(ParameterError):
+            stream_key(seed, index)
+        if not isinstance(index, np.ndarray):
+            with pytest.raises(ParameterError):
+                SeedSpec(seed, index)
+    # integer types of either kind keep their keys
+    assert stream_key(np.uint64(2), np.int32(1)) == stream_key(2, 1) == SeedSpec(2, 1).key
+    keys = stream_key(2, np.array([1, 2**40], dtype=np.int64))
+    assert keys.tolist() == [int(stream_key(2, 1)), int(stream_key(2, 2**40))]
+
+
 def test_uniform_open_closed_range():
     key = stream_key(123, 0)
     u = uniform_oc(key, 0, np.arange(200000), 5)

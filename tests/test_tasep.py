@@ -391,6 +391,75 @@ def test_bridge_detects_a_dropped_crossing(monkeypatch):
         assert rep.witness.startswith("height/particle mismatch"), rep.witness
 
 
+def test_bridge_detects_a_dropped_entry_off_site_one(monkeypatch):
+    # h(x-y-1) moves only on entries into site x-y.  With x, y >= 2 particle
+    # y's is not the first of them, so a log missing the first must fail the
+    # height form at t = L, for x - y above, below and at 0
+    real_evolve = tasep.evolve
+
+    def dropping_first_entry(*args, **kwargs):
+        state, log = real_evolve(*args, **kwargs)
+        k = log.targets.index(x - y)
+        for column in (log.times, log.labels, log.targets):
+            del column[k]
+        return state, log
+
+    for x, y in ((7, 2), (9, 4), (2, 9), (3, 6), (5, 5)):
+        first = lpp_bridge_check(41, x, x, y, _grid_for(x, y))
+        assert first.ok and first.exit_time is not None
+        grid = np.sort(np.append(_grid_for(x, y), first.l_value))
+        monkeypatch.setattr(tasep, "evolve", dropping_first_entry)
+        rep = lpp_bridge_check(41, x, x, y, grid)
+        monkeypatch.undo()
+        assert rep.witness.startswith("height/particle mismatch"), (x, y, rep.witness)
+        assert grid[rep.checks] == first.l_value
+
+def test_bridge_detects_a_moved_or_missing_exit(monkeypatch):
+    # the particle form is checked only as E_y(x-1) = L: an exit entry one
+    # ulp late, or none although L <= t_cap, must fail the check
+    real_evolve = tasep.evolve
+
+    def editing_exit(edit):
+        def run(*args, **kwargs):
+            state, log = real_evolve(*args, **kwargs)
+            k = next(k for k, (lab, tgt) in enumerate(zip(log.labels, log.targets))
+                     if lab == y and tgt == x - y)
+            edit(log, k)
+            return state, log
+        return run
+
+    def later(log, k):
+        log.times[k] = float(np.nextafter(log.times[k], np.inf))
+
+    def dropped(log, k):
+        for column in (log.times, log.labels, log.targets):
+            del column[k]
+
+    rng = np.random.default_rng(33)
+    for trial in range(12):
+        x, y = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+        args = (37, trial, x, y, _grid_for(x, y))
+        rep = lpp_bridge_check(*args)
+        assert rep.ok and rep.exit_time is not None and rep.l_value <= args[-1][-1]
+        for edit, head in ((later, "E_y(x-1) = "), (dropped, "no exit event although L = ")):
+            monkeypatch.setattr(tasep, "evolve", editing_exit(edit))
+            bad = lpp_bridge_check(*args)
+            monkeypatch.undo()
+            assert not bad.ok and bad.checks == 0 and bad.l_value == rep.l_value
+            assert bad.witness.startswith(head), bad.witness
+
+
+def test_bad_times_raise_parameter_error():
+    seed = SeedSpec(45, 2)
+    st = init_stationary(0.5, stationary_window(-30, 30, 15.0), seed)
+    for t_end in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            evolve(st, WaitingTimes(seed), t_end)
+    for grid in ([], np.array([]), [1.0, np.inf], [np.nan, 2.0], [-np.inf]):
+        with pytest.raises(ParameterError):
+            lpp_bridge_check(3, 0, 4, 4, grid)
+
+
 def test_queue_exit_mapping():
     # E_j(i) is the jump of particle j into site i+1-j; position/queue index
     # mapping x_j(t) = Q_j(t) - j holds along the recorded trajectory
